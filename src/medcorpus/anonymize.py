@@ -1,10 +1,11 @@
 """Rule-based de-identification: gazetteer names and German date formats.
 
 Spans carry byte offsets into the UTF-8 encoding of the original text and
-must fall on character boundaries. Redaction splices replacement strings
-over the spans and leaves every byte outside them untouched, which makes
-the length accounting and the closure check (re-detect on the output)
-mechanically verifiable.
+must fall on character boundaries. Detection matches on characters and
+converts only the match endpoints to byte offsets, once per scan.
+Redaction splices replacement strings over the spans and leaves every byte
+outside them untouched, which makes the length accounting and the closure
+check (re-detect on the output) mechanically verifiable.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ class Gazetteer:
 
     @classmethod
     def from_file(cls, path, case_insensitive: bool = False) -> "Gazetteer":
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a byte order mark would otherwise stay glued to the
+        # first entry, which then never matches.
+        with open(path, encoding="utf-8-sig") as fh:
             entries = frozenset(line.strip() for line in fh if line.strip())
         return cls(entries, case_insensitive)
 
@@ -61,13 +64,17 @@ class NameRecognizer(Protocol):
     def detect(self, text: str) -> list[RedactionSpan]: ...
 
 
-def _byte_offsets(text: str) -> list[int]:
-    offs = [0]
-    total = 0
-    for ch in text:
-        total += len(ch.encode("utf-8"))
-        offs.append(total)
-    return offs
+def _byte_offsets(text: str, positions: Sequence[int]) -> list[int]:
+    """UTF-8 byte offsets of the sorted character ``positions`` in ``text``."""
+    if text.isascii():
+        return list(positions)
+    offsets = []
+    prev = total = 0
+    for pos in positions:
+        total += len(text[prev:pos].encode("utf-8"))
+        offsets.append(total)
+        prev = pos
+    return offsets
 
 
 def _drop_contained(spans: list[RedactionSpan]) -> list[RedactionSpan]:
@@ -83,32 +90,107 @@ def _drop_contained(spans: list[RedactionSpan]) -> list[RedactionSpan]:
     return out
 
 
+_BOUNDARY = re.compile(r"\b")
+
+# Lowercase letters whose full uppercase spans several characters yet is
+# shared with another lowercase letter; re.IGNORECASE treats each pair as one.
+_SHARED_MULTI_UPPER = {"\u1fd3": "\u0390", "\u1fe3": "\u03b0", "\ufb06": "\ufb05"}
+
+
+def _fold_char(ch: str) -> str:
+    """One-character case fold under which two characters are equal exactly
+    when ``re.IGNORECASE`` matches one against the other.
+
+    ``re`` lowercases to the first character of the full lowercase mapping
+    ("İ" -> "i") and treats lowercase letters with the same uppercase as equal
+    ("ſ" and "s", "ı" and "i", "ς" and "σ").
+    """
+    lower = ch.lower()[0]
+    upper = lower.upper()
+    return upper if len(upper) == 1 else _SHARED_MULTI_UPPER.get(lower, lower)
+
+
+class _FoldTable(dict):
+    """``str.translate`` table that folds each code point on first use."""
+
+    def __missing__(self, code: int) -> int:
+        folded = self[code] = ord(_fold_char(chr(code)))
+        return folded
+
+
 class GazetteerRecognizer:
     """Longest-match gazetteer scan on word boundaries.
 
-    Entries are alternated longest-first so that "Anna Schmidt" wins over
-    "Anna" at the same position; nested matches are discarded afterwards.
+    Finds the same spans as ``finditer`` over ``\\b(?:e1|e2|...)\\b`` with
+    the entries alternated longest-first, but at a cost per document that does
+    not depend on the number of entries. One small regex yields candidate
+    starts: a word boundary followed by an entry's first character and one of
+    its second characters. From each candidate the scan extends the slice
+    from word boundary to word boundary while it is a prefix of some entry,
+    keeps the longest slice that is an entry, and resumes after it. In
+    case-insensitive mode text and entries are compared after a
+    length-preserving per-character fold that agrees with ``re.IGNORECASE``.
     """
 
     def __init__(self, gazetteer: Gazetteer, wildcard: str = NAME_WILDCARD) -> None:
         if not gazetteer.entries:
             raise ValueError("gazetteer has no entries")
+        if "" in gazetteer.entries:
+            raise ValueError("gazetteer has an empty entry")
         self.gazetteer = gazetteer
         self.wildcard = wildcard
-        ordered = sorted(gazetteer.entries, key=lambda e: (-len(e), e))
-        pattern = r"\b(?:%s)\b" % "|".join(re.escape(e) for e in ordered)
-        flags = re.IGNORECASE if gazetteer.case_insensitive else 0
-        self._pattern = re.compile(pattern, flags)
+        self._fold = _FoldTable() if gazetteer.case_insensitive else None
+        entries = {self._key(e) for e in gazetteer.entries}
+        self._entries = entries
+        self._prefixes = {e[:k] for e in entries for k in range(1, len(e))}
+        seconds: dict[str, set[str]] = {}
+        for e in entries:
+            seconds.setdefault(e[0], set()).add(e[1:2])
+        alternatives = [
+            re.escape(first)
+            if "" in nexts
+            else re.escape(first) + "[%s]" % "".join(re.escape(c) for c in sorted(nexts))
+            for first, nexts in sorted(seconds.items())
+        ]
+        flags = re.IGNORECASE if self._fold is not None else 0
+        self._starts = re.compile(r"\b(?=%s)" % "|".join(alternatives), flags)
+
+    def _key(self, text: str) -> str:
+        return text if self._fold is None else text.translate(self._fold)
+
+    def _match_end(self, text: str, keys: str, start: int) -> int | None:
+        """End of the longest entry at ``start`` that ends on a word boundary."""
+        best = None
+        pos = start + 1
+        while pos <= len(text) and (m := _BOUNDARY.search(text, pos)) is not None:
+            end = m.start()
+            piece = keys[start:end]
+            if piece in self._entries:
+                best = end
+            if piece not in self._prefixes:
+                break
+            pos = end + 1
+        return best
 
     def detect(self, text: str) -> list[RedactionSpan]:
-        offs = _byte_offsets(text)
-        spans = [
+        keys = self._key(text)
+        bounds: list[int] = []
+        resume = 0
+        for m in self._starts.finditer(text):
+            start = m.start()
+            if start < resume:
+                continue
+            end = self._match_end(text, keys, start)
+            if end is not None:
+                bounds += (start, end)
+                resume = end
+        offs = _byte_offsets(text, bounds)
+        return [
             RedactionSpan(
-                offs[m.start()], offs[m.end()], KIND_NAME, m.group(0), self.wildcard
+                offs[k], offs[k + 1], KIND_NAME, text[bounds[k] : bounds[k + 1]], self.wildcard
             )
-            for m in self._pattern.finditer(text)
+            for k in range(0, len(bounds), 2)
         ]
-        return _drop_contained(spans)
 
 
 def detect_names(text: str, recognizer: NameRecognizer) -> list[RedactionSpan]:
@@ -144,13 +226,8 @@ def detect_dates(text: str, wildcard: str = DATE_WILDCARD) -> list[RedactionSpan
     "Monat YYYY", and ISO YYYY-MM-DD. Day and month values are range
     checked, so "12.34" or a 34th month never match.
     """
-    offs = _byte_offsets(text)
-    raw: list[RedactionSpan] = []
-
-    def add(m: re.Match) -> None:
-        raw.append(
-            RedactionSpan(offs[m.start()], offs[m.end()], KIND_DATE, m.group(0), wildcard)
-        )
+    found: list[re.Match] = []
+    add = found.append
 
     for m in _D_M_YYYY.finditer(text):
         if _valid_day(m.group(1)) and _valid_month(m.group(2)):
@@ -166,6 +243,12 @@ def detect_dates(text: str, wildcard: str = DATE_WILDCARD) -> list[RedactionSpan
             add(m)
     for m in _MONTH_YYYY.finditer(text):
         add(m)
+    points = sorted({p for m in found for p in m.span()})
+    byte_at = dict(zip(points, _byte_offsets(text, points)))
+    raw = [
+        RedactionSpan(byte_at[m.start()], byte_at[m.end()], KIND_DATE, m.group(0), wildcard)
+        for m in found
+    ]
     return sorted(_drop_contained(raw), key=lambda s: (s.start, s.end))
 
 

@@ -358,6 +358,12 @@ def cmd_pipeline(args) -> int:
     manifest = pipeline_mod.run_pipeline(config, args.out_dir, config_path.parent)
     for stage in manifest.stages:
         print(f"{stage.name}: {stage.n_in} in, {stage.n_out} out")
+    residual_docs = next(
+        s.details["residual_documents"] for s in manifest.stages if s.name == "anonymize"
+    )
+    if residual_docs:
+        print(f"anonymize: {residual_docs} documents with residuals", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -117,6 +117,16 @@ def test_gazetteer_from_file(tmp_path):
     assert g.entries == frozenset({"Anna", "Bernd Müller"})
 
 
+def test_gazetteer_from_file_strips_byte_order_mark(tmp_path):
+    path = tmp_path / "names.txt"
+    path.write_text("\ufeffAnna\nBernd\n", encoding="utf-8")
+    g = Gazetteer.from_file(path)
+    assert g.entries == frozenset({"Anna", "Bernd"})
+    docs = [Document(id="d", source="ehr", text="Anna und Bernd kamen.")]
+    out, report = anonymize_corpus(docs, g)
+    assert out[0].text == "<NAME> und <NAME> kamen."
+
+
 # --- redaction --------------------------------------------------------------
 
 

@@ -1,0 +1,192 @@
+"""GazetteerRecognizer against the alternation-regex recognizer it replaced,
+the case fold against re.IGNORECASE, and byte offsets against str.encode."""
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from medcorpus.anonymize import (
+    KIND_NAME,
+    NAME_WILDCARD,
+    Gazetteer,
+    GazetteerRecognizer,
+    RedactionSpan,
+    _drop_contained,
+    _fold_char,
+    detect_dates,
+    detect_names,
+)
+
+
+# --- oracle: the regex recognizer, kept verbatim ---------------------------
+
+
+def _byte_offsets(text: str) -> list[int]:
+    offs = [0]
+    total = 0
+    for ch in text:
+        total += len(ch.encode("utf-8"))
+        offs.append(total)
+    return offs
+
+
+class RegexGazetteerRecognizer:
+    """Longest-match gazetteer scan on word boundaries.
+
+    Entries are alternated longest-first so that "Anna Schmidt" wins over
+    "Anna" at the same position; nested matches are discarded afterwards.
+    """
+
+    def __init__(self, gazetteer: Gazetteer, wildcard: str = NAME_WILDCARD) -> None:
+        if not gazetteer.entries:
+            raise ValueError("gazetteer has no entries")
+        self.gazetteer = gazetteer
+        self.wildcard = wildcard
+        ordered = sorted(gazetteer.entries, key=lambda e: (-len(e), e))
+        pattern = r"\b(?:%s)\b" % "|".join(re.escape(e) for e in ordered)
+        flags = re.IGNORECASE if gazetteer.case_insensitive else 0
+        self._pattern = re.compile(pattern, flags)
+
+    def detect(self, text: str) -> list[RedactionSpan]:
+        offs = _byte_offsets(text)
+        spans = [
+            RedactionSpan(
+                offs[m.start()], offs[m.end()], KIND_NAME, m.group(0), self.wildcard
+            )
+            for m in self._pattern.finditer(text)
+        ]
+        return _drop_contained(spans)
+
+
+def assert_same_spans(entries, text, ci):
+    g = Gazetteer(entries=frozenset(entries), case_insensitive=ci)
+    assert GazetteerRecognizer(g).detect(text) == RegexGazetteerRecognizer(g).detect(text)
+
+
+# --- differential test ------------------------------------------------------
+
+# Case-fold look-alikes (ß/ẞ, ſ/s, ı/İ/i, ς/σ/Σ, K/k/Kelvin sign), umlauts,
+# and 2-, 3- and 4-byte characters.
+SPECIAL = "ßẞſsSıİiIςσΣkKKäÄöÖüÜé中𝔘"
+PIECES = [
+    "Anna", "Schmidt", "Müller", "Weiß", "Jürgen", "Özdemir", "Dr.", "-Meyer",
+    "A", "ß", "ſ", "ı", "İ", "K", "ς", "中文", "𝔘𝔫", "x_y", "Σ",
+]
+SEPARATORS = ["", " ", "  ", "-", ".", ", ", "\n", "_", "'", "(", ")"]
+
+
+def _variant(piece: str, how: int) -> str:
+    return [piece, piece.upper(), piece.lower(), piece.swapcase(), piece.casefold()][how]
+
+
+@st.composite
+def gazetteer_and_text(draw):
+    word = st.text(alphabet=SPECIAL + "abAB .-", min_size=1, max_size=5)
+    compound = st.lists(st.sampled_from(PIECES), min_size=1, max_size=3).flatmap(
+        lambda parts: st.sampled_from([" ", "", "-"]).map(lambda sep: sep.join(parts))
+    )
+    entries = draw(st.lists(st.one_of(compound, word), min_size=1, max_size=8))
+    ci = draw(st.booleans())
+    chunk = st.one_of(
+        st.tuples(st.sampled_from(entries), st.integers(0, 4)).map(lambda t: _variant(*t)),
+        st.sampled_from(PIECES),
+        st.text(alphabet=SPECIAL + "ab .-_", max_size=4),
+    )
+    chunks = draw(st.lists(st.tuples(chunk, st.sampled_from(SEPARATORS)), max_size=12))
+    text = "".join(c + sep for c, sep in chunks)
+    return entries, text, ci
+
+
+@settings(max_examples=400, deadline=None)
+@given(gazetteer_and_text())
+def test_detect_matches_regex_oracle(case):
+    assert_same_spans(*case)
+
+
+@pytest.mark.parametrize("ci", [False, True])
+@pytest.mark.parametrize(
+    "entries, text",
+    [
+        (["Anna", "Anna Schmidt"], "Anna Schmidt, Anna und Anna Schmidtke"),
+        (["Anna", "Karl"], "AnnaKarl Anna Karl Anna-Karl Anna.Karl"),
+        (["Dr. Müller", "-Meyer", "Müller"], "Dr. Müller, Dr. Müllers, Hans-Meyer, -Meyer"),
+        (["A", "ß", "中"], "A ß ẞ AA 中 中文 Aß a"),
+        (["Weiß", "Jürgen Weiß", "ſusi", "ıda", "Kai", "ςσ"],
+         "JÜRGEN WEISS jürgen weiß Jürgen Weiẞ SUSI susi IDA ida İDA KAİ ΣΣ σς"),
+        (["x_y", "Anna"], "x_y x_yAnna _Anna Anna_"),
+        (["𝔘𝔫", "é"], "𝔘𝔫 é𝔘𝔫 éé é"),
+    ],
+)
+def test_detect_matches_regex_oracle_on_fixed_cases(entries, text, ci):
+    assert_same_spans(entries, text, ci)
+
+
+def test_empty_entry_rejected():
+    with pytest.raises(ValueError):
+        GazetteerRecognizer(Gazetteer(entries=frozenset({"Anna", ""})))
+
+
+# --- case fold --------------------------------------------------------------
+
+FOLD_CHARS = "ßẞſsSıİiIςσΣkKKµμΜäÄöÖüÜaA1_ ΐΐΰΰﬅﬆ"
+
+
+def _re_equal(a: str, b: str) -> bool:
+    return re.fullmatch(re.escape(a), b, re.IGNORECASE) is not None
+
+
+@pytest.mark.parametrize("a", FOLD_CHARS)
+def test_fold_agrees_with_ignorecase(a):
+    for b in FOLD_CHARS:
+        assert (_fold_char(a) == _fold_char(b)) == _re_equal(a, b), (a, b)
+
+
+def test_fold_agrees_with_ignorecase_across_scripts():
+    # Latin, Greek, Cyrillic, their extended blocks, letterlike symbols and
+    # the Latin ligatures: every character matches exactly its fold class.
+    codes = [
+        *range(0x0000, 0x0530),
+        *range(0x1E00, 0x2000),
+        *range(0x2100, 0x2150),
+        *range(0xFB00, 0xFB07),
+    ]
+    universe = "".join(map(chr, codes))
+    classes: dict[str, set[str]] = {}
+    for b in universe:
+        classes.setdefault(_fold_char(b), set()).add(b)
+    for a in universe:
+        matched = {m.group() for m in re.finditer(re.escape(a), universe, re.IGNORECASE)}
+        assert matched == classes[_fold_char(a)], a
+
+
+# --- byte offsets -----------------------------------------------------------
+
+DATES = ["3.4.2021", "05.11.2021", "01.02.21", "2019-12-31", "3. März 2021", "Oktober 1987"]
+NAMES = ["Anna", "Jürgen Weiß", "Özdemir", "中文", "𝔘𝔫"]
+FILLER = ["Größe", "kam", "am", "und", "中", "𝔘", "é", "Befund", "x"]
+
+
+def assert_offsets_match_characters(text, spans):
+    char_at = {len(text[:i].encode("utf-8")): i for i in range(len(text) + 1)}
+    for span in spans:
+        i, j = char_at[span.start], char_at[span.end]
+        assert text[i:j] == span.surface
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(DATES + NAMES + FILLER), st.sampled_from([" ", ", ", ". "])),
+        max_size=15,
+    )
+)
+def test_span_offsets_are_utf8_offsets_of_their_characters(chunks):
+    rec = GazetteerRecognizer(Gazetteer(entries=frozenset(NAMES)))
+    text = "".join(c + sep for c, sep in chunks)
+    for t in (text, text.encode("ascii", "ignore").decode("ascii")):
+        dates, names = detect_dates(t), detect_names(t, rec)
+        assert_offsets_match_characters(t, dates + names)
+        if t == text:
+            assert bool(dates) == any(c in DATES for c, _ in chunks)
+            assert len(names) == sum(c in NAMES for c, _ in chunks)

@@ -511,3 +511,15 @@ def test_cli_pipeline_runs_twice_identically(tmp_path, capsys):
     ).read_bytes()
     out = capsys.readouterr().out
     assert "ingest:" in out and "stats:" in out
+
+
+def test_cli_pipeline_residuals_exit_2(tmp_path, capsys):
+    _, config_path = pipeline_fixture(tmp_path)
+    # the wildcard <NAME> itself matches the entry NAME, so the rescan fails
+    (tmp_path / "names.txt").write_text("Anna Schmidt\nNAME\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = cli.main(["pipeline", "--config", str(config_path), "--out-dir", str(out_dir)])
+    assert code == 2
+    report = json.loads((out_dir / "anonymization_report.json").read_text())
+    assert report["passed"] is False
+    assert "residuals" in capsys.readouterr().err
