@@ -32,11 +32,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: str | None, obj) -> None:
-    text = json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(corpus_mod.json_text(obj))
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        corpus_mod.write_json(path, obj)
 
 
 def _load_docs(path: str, source: str | None = None) -> list[corpus_mod.Document]:
@@ -83,47 +82,29 @@ def cmd_clean(args) -> int:
     kept, rejects = corpus_mod.clean_corpus(docs)
     corpus_mod.write_documents(args.out, kept)
     if args.reject_log:
-        _write_json(
-            args.reject_log,
-            {"rejects": [{"id": r.doc_id, "source": r.source, "reason": r.reason} for r in rejects]},
-        )
+        _write_json(args.reject_log, corpus_mod.reject_log_obj(rejects))
     print(f"kept {len(kept)} of {len(docs)} documents")
     return 0
 
 
 def cmd_dedup(args) -> int:
     docs = _load_docs(args.input, args.source)
-    mode = {
-        "representative": dedup_mod.MODE_REPRESENTATIVE,
-        "literal": dedup_mod.MODE_LITERAL,
-    }[args.mode]
-    comparison = {
-        "strict": dedup_mod.COMPARISON_STRICT,
-        "inclusive": dedup_mod.COMPARISON_INCLUSIVE,
-    }[args.comparison]
-    cfg = dedup_mod.DedupConfig(
+    cfg = dedup_mod.DedupConfig.from_names(
         threshold=args.threshold,
-        comparison=comparison,
-        mode=mode,
+        mode=args.mode,
+        comparison=args.comparison,
         max_doc_words=args.max_words if args.max_words > 0 else None,
     )
-    vectors = []
-    unvectorizable = []
-    for doc in docs:
-        try:
-            vectors.append(dedup_mod.vectorize(doc))
-        except dedup_mod.EmptyVectorError:
-            unvectorizable.append(doc.id)
     engine = dedup_mod.dedup_exact if args.engine == "exact" else dedup_mod.dedup_indexed
-    report = engine(vectors, cfg)
+    kept, reports = dedup_mod.dedup_documents(docs, cfg, engine)
     if args.out:
-        keep = set(report.kept_ids) | set(unvectorizable)
-        corpus_mod.write_documents(args.out, [d for d in docs if d.id in keep])
+        corpus_mod.write_documents(args.out, kept)
     if args.report:
-        _write_json(args.report, report.to_obj())
+        _write_json(args.report, {src: r.to_obj() for src, r in reports.items()})
+    n_clusters = sum(len(r.clusters) for r in reports.values())
     print(
-        f"kept {report.n_kept} of {report.n_input} documents "
-        f"({report.n_removed} removed, {len(report.clusters)} clusters)"
+        f"kept {len(kept)} of {len(docs)} documents "
+        f"({len(docs) - len(kept)} removed, {n_clusters} clusters)"
     )
     return 0
 
@@ -399,18 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reject-log")
     p.set_defaults(handler=cmd_clean)
 
-    p = sub.add_parser("dedup", help="remove near-duplicate documents")
+    p = sub.add_parser("dedup", help="remove near-duplicate documents within each source")
     p.add_argument("input")
     p.add_argument("--source")
     p.add_argument("--threshold", type=float, default=0.75)
-    p.add_argument("--mode", choices=["representative", "literal"], default="representative")
+    p.add_argument("--mode", choices=list(dedup_mod.MODES), default="representative")
     p.add_argument(
-        "--comparison", choices=["strict", "inclusive"], default="strict",
+        "--comparison", choices=list(dedup_mod.COMPARISONS), default="strict",
         help="strict: remove only above the threshold; inclusive: at or above",
     )
     p.add_argument(
-        "--max-words", type=int, default=128,
-        help="only documents this short participate; 0 disables the gate",
+        "--max-words", type=int, default=0,
+        help="only documents this short participate; 0 (the default) disables the gate",
     )
     p.add_argument("--engine", choices=["indexed", "exact"], default="indexed")
     p.add_argument("--out")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
 from importlib import resources
@@ -103,17 +104,22 @@ def _document_from_obj(obj: object, source: str | None, line_no: int) -> Documen
     return Document(doc_id, src, text, doc_date, patient_ref, metadata)
 
 
-def load_documents(path: str | Path, source: str | None = None) -> LoadResult:
+def load_documents(
+    path: str | Path, source: str | None = None, seen_ids: set[str] | None = None
+) -> LoadResult:
     """Read a JSONL corpus file.
 
     Malformed lines are reported in the result, never dropped silently.
     ``source`` supplies the source kind for lines that do not carry one.
     Ids are taken from the file or synthesized as ``<source>:<line-number>``;
-    a repeated id is an error for the later line.
+    a repeated id is an error for the later line. To apply that rule across
+    several files, pass the same ``seen_ids`` set to each call; it is updated
+    with the ids loaded.
     """
     documents: list[Document] = []
     errors: list[LoadError] = []
-    seen_ids: set[str] = set()
+    if seen_ids is None:
+        seen_ids = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -143,11 +149,42 @@ def document_to_obj(doc: Document) -> dict:
     return obj
 
 
+def _replace_file(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a temp file next to ``path``, then rename it over
+    ``path``, so a reader never sees a half-written artifact."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        # a pipe or device such as /dev/stdout can be written but not replaced
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        return
+    path = path.resolve()  # through a symlink, replace the file it points to
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(document_to_obj(doc), ensure_ascii=False))
-            fh.write("\n")
+    """One JSON object per line, in ``docs`` order; written atomically."""
+    _replace_file(
+        path, (json.dumps(document_to_obj(doc), ensure_ascii=False) + "\n" for doc in docs)
+    )
+
+
+def json_text(obj) -> str:
+    """The JSON artifact format: sorted keys, two-space indent, non-ASCII
+    characters unescaped, trailing newline."""
+    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` in :func:`json_text` format; written atomically."""
+    _replace_file(path, [json_text(obj)])
 
 
 # --- sentence and word segmentation ---------------------------------------
@@ -284,6 +321,10 @@ class RejectRecord:
     doc_id: str
     source: str
     reason: str
+
+
+def reject_log_obj(rejects: Iterable[RejectRecord]) -> dict:
+    return {"rejects": [{"id": r.doc_id, "source": r.source, "reason": r.reason} for r in rejects]}
 
 
 def clean_corpus(

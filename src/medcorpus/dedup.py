@@ -36,6 +36,11 @@ COMPARISON_INCLUSIVE = "greater-or-equal"
 MODE_REPRESENTATIVE = "representative-keep"
 MODE_LITERAL = "literal-drop"
 
+# the names users write for these settings, on the command line and in
+# pipeline configs
+MODES = {"representative": MODE_REPRESENTATIVE, "literal": MODE_LITERAL}
+COMPARISONS = {"strict": COMPARISON_STRICT, "inclusive": COMPARISON_INCLUSIVE}
+
 # Sparse scores are float64 dot products of unit vectors; their error is
 # orders of magnitude below this margin, so a pair skipped here can never
 # exceed the threshold under exact verification.
@@ -46,12 +51,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 
 class EmptyVectorError(ValueError):
     """Raised when a document yields no terms under the analyzer."""
-
-
-@dataclass(frozen=True)
-class AnalyzerConfig:
-    lowercase: bool = True
-    token_pattern: str = r"[^\W_]+"
 
 
 @dataclass
@@ -84,17 +83,15 @@ class BowVector:
         return sum(self.counts.values())
 
 
-def vectorize(doc: Document, analyzer: AnalyzerConfig = AnalyzerConfig()) -> BowVector:
+def vectorize(doc: Document) -> BowVector:
     """Build the term-count vector of a document.
 
-    The default analyzer lowercases and splits on non-alphanumeric runs.
+    The analyzer lowercases and splits on non-alphanumeric runs.
     Documents with no alphanumeric content cannot be compared and raise
     :class:`EmptyVectorError`.
     """
-    text = doc.text.lower() if analyzer.lowercase else doc.text
-    pattern = _TOKEN_RE if analyzer.token_pattern == _TOKEN_RE.pattern else re.compile(analyzer.token_pattern)
     counts: dict[str, int] = {}
-    for tok in pattern.findall(text):
+    for tok in _TOKEN_RE.findall(doc.text.lower()):
         counts[tok] = counts.get(tok, 0) + 1
     if not counts:
         raise EmptyVectorError(f"document {doc.id!r} has no analyzable terms")
@@ -136,6 +133,24 @@ class DedupConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_doc_words is not None and self.max_doc_words <= 0:
             raise ValueError("max_doc_words must be positive or None")
+
+    @classmethod
+    def from_names(
+        cls,
+        threshold: float = 0.75,
+        mode: str = "representative",
+        comparison: str = "strict",
+        max_doc_words: int | None = None,
+    ) -> "DedupConfig":
+        """Build a config from the user-facing names in :data:`MODES` and
+        :data:`COMPARISONS`."""
+        if mode not in MODES:
+            raise ValueError(f"unknown dedup mode {mode!r}; expected one of {sorted(MODES)}")
+        if comparison not in COMPARISONS:
+            raise ValueError(
+                f"unknown dedup comparison {comparison!r}; expected one of {sorted(COMPARISONS)}"
+            )
+        return cls(float(threshold), COMPARISONS[comparison], MODES[mode], max_doc_words)
 
     def exceeds(self) -> Callable[[float], bool]:
         t = self.threshold
@@ -458,3 +473,36 @@ def apply_report(docs: Sequence[Document], report: DedupReport) -> list[Document
     """Filter a document sequence down to the kept ids of a report."""
     kept = set(report.kept_ids)
     return [d for d in docs if d.id in kept]
+
+
+def dedup_documents(
+    docs: Sequence[Document],
+    cfg: DedupConfig,
+    engine: Callable[[Sequence[BowVector], DedupConfig], DedupReport] | None = None,
+) -> tuple[list[Document], dict[str, DedupReport]]:
+    """Near-duplicate removal within each source, as both front ends run it.
+
+    Each source's documents go through ``engine`` (default
+    :func:`dedup_indexed`) on their own, so documents of different sources
+    never remove each other. Documents without analyzable terms cannot be
+    compared and are kept. Returns the kept documents in input order and
+    one report per source, in sorted source order.
+    """
+    if engine is None:
+        engine = dedup_indexed
+    groups: dict[str, list[Document]] = {}
+    for doc in docs:
+        groups.setdefault(doc.source, []).append(doc)
+    kept: set[tuple[str, str]] = set()
+    reports: dict[str, DedupReport] = {}
+    for source in sorted(groups):
+        # vectorize one source at a time, so only its vectors are held
+        vectors = []
+        for doc in groups[source]:
+            try:
+                vectors.append(vectorize(doc))
+            except EmptyVectorError:
+                kept.add((source, doc.id))
+        reports[source] = engine(vectors, cfg)
+        kept.update((source, doc_id) for doc_id in reports[source].kept_ids)
+    return [d for d in docs if (d.source, d.id) in kept], reports

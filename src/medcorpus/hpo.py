@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from .corpus import write_json
+
 STATE_RUNNING = "running"
 STATE_PRUNED = "pruned"
 STATE_COMPLETE = "complete"
@@ -162,11 +164,7 @@ class Study:
         }
 
     def save(self, path: str | Path) -> None:
-        tmp = Path(path).with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_json(path, self.to_obj())
 
     @classmethod
     def load(cls, path: str | Path) -> "Study":

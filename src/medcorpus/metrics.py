@@ -8,11 +8,12 @@ percent-scaled values and are rendered with two decimals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .corpus import write_json
 
 
 class UndefinedMetricError(ValueError):
@@ -51,9 +52,14 @@ def prf(predictions: Sequence[bool], truths: Sequence[bool]) -> tuple[float, flo
 
     Zero denominators yield 0.0, matching the report convention.
     """
-    tp = fp = fn = 0
     if len(predictions) != len(truths):
         raise ValueError("predictions and truths must be parallel")
+    return _prf_from_counts(*_confusion(predictions, truths))
+
+
+def _confusion(predictions: Iterable[bool], truths: Iterable[bool]) -> tuple[int, int, int]:
+    """True positive, false positive and false negative counts."""
+    tp = fp = fn = 0
     for p, t in zip(predictions, truths):
         if p and t:
             tp += 1
@@ -61,13 +67,32 @@ def prf(predictions: Sequence[bool], truths: Sequence[bool]) -> tuple[float, flo
             fp += 1
         elif t:
             fn += 1
-    return _prf_from_counts(tp, fp, fn)
+    return tp, fp, fn
 
 
 def _prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+def _class_prf(tp: int, fp: int, fn: int) -> tuple[float | None, float | None, float | None]:
+    """Percent-scaled precision, recall and F1 of one report class.
+
+    A zero denominator gives None, so the class drops out of that macro
+    mean. F1 is None only when precision and recall both are; it is 0.0
+    when just one is undefined or both are zero.
+    """
+    precision = tp / (tp + fp) * 100.0 if tp + fp else None
+    recall = tp / (tp + fn) * 100.0 if tp + fn else None
+    f1: float | None
+    if precision is not None and recall is not None and precision + recall > 0:
+        f1 = 2 * precision * recall / (precision + recall)
+    elif precision is None and recall is None:
+        f1 = None
+    else:
+        f1 = 0.0
     return precision, recall, f1
 
 
@@ -135,6 +160,34 @@ def _macro(values: Mapping[str, float | None]) -> tuple[float, list[str]]:
     return sum(defined) / len(defined), excluded
 
 
+def _summarize(
+    values: Mapping[str, tuple[float | None, float | None, float | None, float | None]],
+    supports: Mapping[str, int],
+    macro_support: int,
+) -> tuple[dict[str, ClassMetrics], ClassMetrics, dict[str, list[str]]]:
+    """Report rows from per-class (auroc, precision, recall, f1), None where
+    undefined. A class row shows an undefined value as 0.0; each macro mean
+    skips the classes where its metric is undefined, and ``excluded`` lists
+    them per metric."""
+    per_class = {
+        cls: ClassMetrics(
+            auroc=0.0 if area is None else area,
+            f1=0.0 if f1 is None else f1,
+            precision=0.0 if precision is None else precision,
+            recall=0.0 if recall is None else recall,
+            support=supports[cls],
+        )
+        for cls, (area, precision, recall, f1) in values.items()
+    }
+    means: dict[str, float] = {}
+    excluded: dict[str, list[str]] = {}
+    for i, key in enumerate(("auroc", "precision", "recall", "f1")):
+        means[key], ex = _macro({cls: v[i] for cls, v in values.items()})
+        if ex:
+            excluded[key] = ex
+    return per_class, ClassMetrics(support=macro_support, **means), excluded
+
+
 def multilabel_report(
     predictions: ScoredPredictions, threshold: float = 0.5
 ) -> MetricReport:
@@ -142,11 +195,8 @@ def multilabel_report(
 
     A score at or above the threshold counts as a predicted positive.
     """
-    per_class: dict[str, ClassMetrics] = {}
-    auroc_vals: dict[str, float | None] = {}
-    p_vals: dict[str, float | None] = {}
-    r_vals: dict[str, float | None] = {}
-    f_vals: dict[str, float | None] = {}
+    values = {}
+    supports = {}
     for cls in predictions.classes:
         scores = predictions.scores[cls]
         truths = predictions.truths[cls]
@@ -154,47 +204,9 @@ def multilabel_report(
             area: float | None = auroc(scores, truths) * 100.0
         except UndefinedMetricError:
             area = None
-        tp = fp = fn = 0
-        for s, t in zip(scores, truths):
-            p = s >= threshold
-            if p and t:
-                tp += 1
-            elif p:
-                fp += 1
-            elif t:
-                fn += 1
-        precision = tp / (tp + fp) * 100.0 if tp + fp else None
-        recall = tp / (tp + fn) * 100.0 if tp + fn else None
-        if precision is not None and recall is not None and precision + recall > 0:
-            f1: float | None = 2 * precision * recall / (precision + recall)
-        elif precision is None and recall is None:
-            f1 = None
-        else:
-            f1 = 0.0
-        auroc_vals[cls] = area
-        p_vals[cls], r_vals[cls], f_vals[cls] = precision, recall, f1
-        per_class[cls] = ClassMetrics(
-            auroc=0.0 if area is None else area,
-            f1=0.0 if f1 is None else f1,
-            precision=0.0 if precision is None else precision,
-            recall=0.0 if recall is None else recall,
-            support=sum(truths),
-        )
-    macro_auroc, ex_auroc = _macro(auroc_vals)
-    macro_p, ex_p = _macro(p_vals)
-    macro_r, ex_r = _macro(r_vals)
-    macro_f, ex_f = _macro(f_vals)
-    excluded = {}
-    for key, ex in (("auroc", ex_auroc), ("precision", ex_p), ("recall", ex_r), ("f1", ex_f)):
-        if ex:
-            excluded[key] = ex
-    macro = ClassMetrics(
-        auroc=macro_auroc,
-        f1=macro_f,
-        precision=macro_p,
-        recall=macro_r,
-        support=sum(m.support for m in per_class.values()),
-    )
+        values[cls] = (area, *_class_prf(*_confusion((s >= threshold for s in scores), truths)))
+        supports[cls] = sum(truths)
+    per_class, macro, excluded = _summarize(values, supports, sum(supports.values()))
     return MetricReport(list(predictions.classes), per_class, macro, None, excluded)
 
 
@@ -235,29 +247,12 @@ def ner_token_report(
         {c for c in flat_gold if c is not None} | {c for c in flat_pred if c is not None}
     )
     classes = list(labels) if labels is not None else observed
-    per_class: dict[str, ClassMetrics] = {}
-    vals: dict[str, dict[str, float | None]] = {
-        "auroc": {}, "precision": {}, "recall": {}, "f1": {}
-    }
+    values = {}
+    supports = {}
     total_tp = total_fp = total_fn = 0
     for cls in classes:
-        tp = fp = fn = 0
-        for g, p in zip(flat_gold, flat_pred):
-            if g == cls and p == cls:
-                tp += 1
-            elif p == cls:
-                fp += 1
-            elif g == cls:
-                fn += 1
+        tp, fp, fn = _confusion((p == cls for p in flat_pred), (g == cls for g in flat_gold))
         total_tp, total_fp, total_fn = total_tp + tp, total_fp + fp, total_fn + fn
-        precision = tp / (tp + fp) * 100.0 if tp + fp else None
-        recall = tp / (tp + fn) * 100.0 if tp + fn else None
-        if precision is not None and recall is not None and precision + recall > 0:
-            f1: float | None = 2 * precision * recall / (precision + recall)
-        elif precision is None and recall is None:
-            f1 = None
-        else:
-            f1 = 0.0
         area: float | None = None
         if flat_scores is not None:
             truths = [g == cls for g in flat_gold]
@@ -266,27 +261,8 @@ def ner_token_report(
                 area = auroc(scores, truths) * 100.0
             except UndefinedMetricError:
                 area = None
-        vals["auroc"][cls] = area
-        vals["precision"][cls] = precision
-        vals["recall"][cls] = recall
-        vals["f1"][cls] = f1
-        support = sum(1 for g in flat_gold if g == cls)
-        per_class[cls] = ClassMetrics(
-            auroc=(0.0 if area is None else area) if flat_scores is not None else None,
-            f1=0.0 if f1 is None else f1,
-            precision=0.0 if precision is None else precision,
-            recall=0.0 if recall is None else recall,
-            support=support,
-        )
-    excluded = {}
-    macro_vals: dict[str, float] = {}
-    for key in ("auroc", "precision", "recall", "f1"):
-        value, ex = _macro(vals[key])
-        macro_vals[key] = value
-        if ex:
-            excluded[key] = ex
-    if flat_scores is None:
-        excluded.pop("auroc", None)
+        values[cls] = (area, *_class_prf(tp, fp, fn))
+        supports[cls] = sum(1 for g in flat_gold if g == cls)
     micro_p, micro_r, micro_f = _prf_from_counts(total_tp, total_fp, total_fn)
     micro = ClassMetrics(
         auroc=None,
@@ -295,13 +271,12 @@ def ner_token_report(
         recall=micro_r * 100.0,
         support=sum(1 for g in flat_gold if g is not None),
     )
-    macro = ClassMetrics(
-        auroc=macro_vals["auroc"] if flat_scores is not None else None,
-        f1=macro_vals["f1"],
-        precision=macro_vals["precision"],
-        recall=macro_vals["recall"],
-        support=micro.support,
-    )
+    per_class, macro, excluded = _summarize(values, supports, micro.support)
+    if flat_scores is None:
+        # hard tags carry no scores: AUROC is absent rather than undefined
+        excluded.pop("auroc", None)
+        for row in (*per_class.values(), macro):
+            row.auroc = None
     return MetricReport(classes, per_class, macro, micro, excluded)
 
 
@@ -330,9 +305,7 @@ def render_report_tsv(report: MetricReport) -> str:
 
 def write_report(report: MetricReport, json_path=None, tsv_path=None) -> None:
     if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_obj(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(json_path, report.to_obj())
     if tsv_path is not None:
         with open(tsv_path, "w", encoding="utf-8") as fh:
             fh.write(render_report_tsv(report))

@@ -117,9 +117,7 @@ class PipelineManifest:
         return {"stages": [s.to_obj() for s in self.stages]}
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_obj(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        corpus_mod.write_json(path, self.to_obj())
 
 
 def _config_hash(obj) -> str:
@@ -147,131 +145,86 @@ def _policy_from_obj(obj: dict) -> corpus_mod.CleanPolicy:
 def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = ".") -> PipelineManifest:
     """Run ingest, clean, dedup, anonymize, stats on the configured inputs.
 
-    Relative input paths are resolved against ``config_dir``; the manifest
-    stores them as written in the config so that reruns into different
-    output directories stay comparable.
+    The whole config, including the gazetteer file, is checked before the
+    first artifact is written. Relative input paths are resolved against
+    ``config_dir``; the manifest stores them as written in the config so
+    that reruns into different output directories stay comparable.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     base = Path(config_dir)
-    manifest = PipelineManifest()
-
     inputs = config.get("inputs")
     if not inputs:
         raise ValueError("pipeline config has no 'inputs'")
-
-    # ingest
-    docs: list[corpus_mod.Document] = []
-    load_errors: list[dict] = []
-    for entry in inputs:
-        path = entry["path"]
-        result = corpus_mod.load_documents(base / path, entry.get("source"))
-        docs.extend(result.documents)
-        load_errors.extend(
-            {"path": path, "line": e.line_no, "message": e.message} for e in result.errors
-        )
-    corpus_mod.write_documents(out / "ingested.jsonl", docs)
-    with open(out / "load_report.json", "w", encoding="utf-8") as fh:
-        json.dump({"errors": load_errors}, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.stages.append(
-        StageRecord(
-            "ingest",
-            _config_hash(inputs),
-            [e["path"] for e in inputs],
-            ["ingested.jsonl", "load_report.json"],
-            n_in=len(docs) + len(load_errors),
-            n_out=len(docs),
-            details={"n_errors": len(load_errors)},
-        )
-    )
-
-    # clean
     clean_cfg = config.get("clean", {})
     policies = corpus_mod.policy_presets()
     for source, obj in clean_cfg.get("policies", {}).items():
         policies[source] = _policy_from_obj(obj)
-    cleaned, rejects = corpus_mod.clean_corpus(docs, policies)
-    corpus_mod.write_documents(out / "cleaned.jsonl", cleaned)
-    with open(out / "reject_log.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "rejects": [
-                    {"id": r.doc_id, "source": r.source, "reason": r.reason} for r in rejects
-                ]
-            },
-            fh,
-            ensure_ascii=False,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    manifest.stages.append(
-        StageRecord(
-            "clean",
-            _config_hash(clean_cfg),
-            ["ingested.jsonl"],
-            ["cleaned.jsonl", "reject_log.json"],
-            n_in=len(docs),
-            n_out=len(cleaned),
-            details={"n_rejected": len(rejects)},
-        )
-    )
-
-    # dedup, within each source
     dd_cfg_obj = config.get("dedup", {})
-    dd_cfg = dedup_mod.DedupConfig(
-        threshold=float(dd_cfg_obj.get("threshold", 0.75)),
-        comparison=dd_cfg_obj.get("comparison", dedup_mod.COMPARISON_STRICT),
-        mode=dd_cfg_obj.get("mode", dedup_mod.MODE_REPRESENTATIVE),
+    dd_cfg = dedup_mod.DedupConfig.from_names(
+        threshold=dd_cfg_obj.get("threshold", 0.75),
+        mode=dd_cfg_obj.get("mode", "representative"),
+        comparison=dd_cfg_obj.get("comparison", "strict"),
         max_doc_words=dd_cfg_obj.get("max_doc_words"),
     )
-    kept_ids: set[str] = set()
-    reports: dict[str, dedup_mod.DedupReport] = {}
-    sources = sorted({d.source for d in cleaned})
-    for source in sources:
-        group = [d for d in cleaned if d.source == source]
-        vectors = []
-        unvectorizable = []
-        for d in group:
-            try:
-                vectors.append(dedup_mod.vectorize(d))
-            except dedup_mod.EmptyVectorError:
-                unvectorizable.append(d.id)
-        report = dedup_mod.dedup_indexed(vectors, dd_cfg)
-        reports[source] = report
-        kept_ids.update(report.kept_ids)
-        kept_ids.update(unvectorizable)
-    deduped = [d for d in cleaned if d.id in kept_ids]
-    corpus_mod.write_documents(out / "deduped.jsonl", deduped)
-    with open(out / "dedup_report.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {src: reports[src].to_obj() for src in sources},
-            fh,
-            ensure_ascii=False,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    manifest.stages.append(
-        StageRecord(
-            "dedup",
-            _config_hash(dd_cfg_obj),
-            ["cleaned.jsonl"],
-            ["deduped.jsonl", "dedup_report.json"],
-            n_in=len(cleaned),
-            n_out=len(deduped),
-            details={src: reports[src].n_removed for src in sources},
-        )
-    )
-
-    # anonymize
     an_cfg = config.get("anonymize", {})
     gazetteer = None
     if an_cfg.get("gazetteer"):
         gazetteer = anon.Gazetteer.from_file(
             base / an_cfg["gazetteer"], bool(an_cfg.get("case_insensitive", False))
         )
+    stats_cfg = config.get("stats", {})
+    mb_base = corpus_mod.MB_BINARY if stats_cfg.get("binary_mb") else corpus_mod.MB_DECIMAL
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = PipelineManifest()
+
+    def stage(name, cfg_obj, stage_inputs, docs_file, docs, report_file, report, n_in, details):
+        corpus_mod.write_documents(out / docs_file, docs)
+        corpus_mod.write_json(out / report_file, report)
+        manifest.stages.append(
+            StageRecord(
+                name,
+                _config_hash(cfg_obj),
+                stage_inputs,
+                [docs_file, report_file],
+                n_in=n_in,
+                n_out=len(docs),
+                details=details,
+            )
+        )
+
+    # ingest; an id is unique across all inputs, a repeat is a load error
+    docs: list[corpus_mod.Document] = []
+    load_errors: list[dict] = []
+    seen_ids: set[str] = set()
+    for entry in inputs:
+        path = entry["path"]
+        result = corpus_mod.load_documents(base / path, entry.get("source"), seen_ids)
+        docs.extend(result.documents)
+        load_errors.extend(
+            {"path": path, "line": e.line_no, "message": e.message} for e in result.errors
+        )
+    stage(
+        "ingest", inputs, [e["path"] for e in inputs],
+        "ingested.jsonl", docs, "load_report.json", {"errors": load_errors},
+        n_in=len(docs) + len(load_errors), details={"n_errors": len(load_errors)},
+    )
+
+    cleaned, rejects = corpus_mod.clean_corpus(docs, policies)
+    stage(
+        "clean", clean_cfg, ["ingested.jsonl"],
+        "cleaned.jsonl", cleaned, "reject_log.json", corpus_mod.reject_log_obj(rejects),
+        n_in=len(docs), details={"n_rejected": len(rejects)},
+    )
+
+    deduped, reports = dedup_mod.dedup_documents(cleaned, dd_cfg)
+    stage(
+        "dedup", dd_cfg_obj, ["cleaned.jsonl"],
+        "deduped.jsonl", deduped, "dedup_report.json",
+        {src: r.to_obj() for src, r in reports.items()},
+        n_in=len(cleaned), details={src: r.n_removed for src, r in reports.items()},
+    )
+
     anonymized, anon_report = anon.anonymize_corpus(
         deduped,
         gazetteer,
@@ -279,35 +232,21 @@ def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = "."
         date_wildcard=an_cfg.get("date_wildcard", anon.DATE_WILDCARD),
         delete=bool(an_cfg.get("delete", False)),
     )
-    corpus_mod.write_documents(out / "anonymized.jsonl", anonymized)
-    with open(out / "anonymization_report.json", "w", encoding="utf-8") as fh:
-        json.dump(anon_report.to_obj(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.stages.append(
-        StageRecord(
-            "anonymize",
-            _config_hash(an_cfg),
-            ["deduped.jsonl"],
-            ["anonymized.jsonl", "anonymization_report.json"],
-            n_in=len(deduped),
-            n_out=len(anonymized),
-            details={
-                "name_spans": anon_report.total_name_spans,
-                "date_spans": anon_report.total_date_spans,
-                "residual_documents": len(anon_report.residuals),
-            },
-        )
+    stage(
+        "anonymize", an_cfg, ["deduped.jsonl"],
+        "anonymized.jsonl", anonymized, "anonymization_report.json", anon_report.to_obj(),
+        n_in=len(deduped),
+        details={
+            "name_spans": anon_report.total_name_spans,
+            "date_spans": anon_report.total_date_spans,
+            "residual_documents": len(anon_report.residuals),
+        },
     )
 
-    # stats
-    stats_cfg = config.get("stats", {})
-    mb_base = corpus_mod.MB_BINARY if stats_cfg.get("binary_mb") else corpus_mod.MB_DECIMAL
     stats = corpus_mod.compute_corpus_stats(anonymized)
     with open(out / "stats.tsv", "w", encoding="utf-8") as fh:
         fh.write(corpus_mod.stats_to_tsv(stats, mb_base))
-    with open(out / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(corpus_mod.stats_to_obj(stats, mb_base), fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    corpus_mod.write_json(out / "stats.json", corpus_mod.stats_to_obj(stats, mb_base))
     manifest.stages.append(
         StageRecord(
             "stats",

@@ -1,5 +1,7 @@
 import datetime
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from medcorpus.corpus import (
     stats_to_obj,
     stats_to_tsv,
     write_documents,
+    write_json,
 )
 
 
@@ -100,6 +103,43 @@ def test_load_documents_roundtrip(tmp_path):
     write_documents(out, result.documents)
     again = load_documents(out)
     assert again.documents == result.documents
+
+
+def test_write_documents_failure_keeps_old_file(tmp_path):
+    out = tmp_path / "out.jsonl"
+    write_documents(out, [make_doc("alt")])
+    before = out.read_bytes()
+
+    def docs():
+        yield make_doc("neu")
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError):
+        write_documents(out, docs())
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_write_json_through_symlink_keeps_link(tmp_path):
+    target = tmp_path / "real.json"
+    target.write_text("{}\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_json(link, {"b": 1, "a": "ä"})
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == '{\n  "a": "ä",\n  "b": 1\n}\n'
+
+
+def test_write_json_into_pipe_writes_without_replacing(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_json(fifo, {"a": 1})
+        assert os.read(reader, 1024) == b'{\n  "a": 1\n}\n'
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_load_documents_records_errors(tmp_path):

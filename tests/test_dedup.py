@@ -9,7 +9,6 @@ from medcorpus.dedup import (
     COMPARISON_STRICT,
     MODE_LITERAL,
     MODE_REPRESENTATIVE,
-    AnalyzerConfig,
     BowVector,
     DedupConfig,
     EmptyVectorError,
@@ -248,12 +247,6 @@ def test_apply_report_preserves_order():
     report = dedup_exact(vectors, DedupConfig())
     kept = apply_report(docs, report)
     assert [d.id for d in kept] == ["A", "B"]
-
-
-def test_analyzer_config_token_pattern():
-    cfg = AnalyzerConfig(lowercase=False)
-    v = vectorize(doc("d", "Herz herz"), cfg)
-    assert v.counts == {"Herz": 1, "herz": 1}
 
 
 # --- engine equivalence -----------------------------------------------------

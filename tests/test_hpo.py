@@ -236,7 +236,7 @@ def test_study_save_load_round_trip(tmp_path):
     assert loaded.to_obj() == study.to_obj()
     loaded.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text() == text
-    assert not path.with_suffix(".tmp").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.json", "study.json"]
 
 
 # --- run_study --------------------------------------------------------------

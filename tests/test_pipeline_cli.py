@@ -150,6 +150,116 @@ def test_pipeline_requires_inputs(tmp_path):
         run_pipeline({}, tmp_path / "out", tmp_path)
 
 
+def run_cli_pipeline(tmp_path, config, out_name="out"):
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / out_name
+    return cli.main(["pipeline", "--config", str(config_path), "--out-dir", str(out)]), out
+
+
+def read_jsonl(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+FILLER = " ".join(f"befund{i} unauffällig kontrolle" for i in range(12))
+
+
+def test_pipeline_removed_document_stays_removed_across_sources(tmp_path, capsys):
+    # x duplicates y within discharge; a later input reuses the id x for ehr
+    write_jsonl(
+        tmp_path / "discharge.jsonl",
+        [{"id": "y", "text": f"Erster Brief. {FILLER}"}, {"id": "x", "text": f"Erster Brief. {FILLER}"}],
+    )
+    write_jsonl(tmp_path / "ehr.jsonl", [{"id": "x", "text": "Ganz anderer Eintrag ohne Befund."}])
+    config = {
+        "inputs": [
+            {"path": "discharge.jsonl", "source": "discharge"},
+            {"path": "ehr.jsonl", "source": "ehr"},
+        ],
+    }
+    code, out = run_cli_pipeline(tmp_path, config)
+    assert code == 0
+    deduped = read_jsonl(out / "deduped.jsonl")
+    assert ("discharge", "x") not in {(d["source"], d["id"]) for d in deduped}
+    removed = json.loads((out / "dedup_report.json").read_text())["discharge"]["clusters"]
+    assert removed == [{"representative": "y", "members": ["x"]}]
+    stages = {s["name"]: s for s in json.loads((out / "manifest.json").read_text())["stages"]}
+    assert stages["dedup"]["n_out"] == len(deduped)
+
+
+def test_pipeline_id_repeated_across_files_is_a_load_error(tmp_path, capsys):
+    write_jsonl(tmp_path / "one.jsonl", [{"id": "x", "text": f"Erster Brief. {FILLER}"}])
+    write_jsonl(
+        tmp_path / "two.jsonl",
+        [{"id": "z", "text": "Noch ein Brief."}, {"id": "x", "text": f"Zweiter Brief. {FILLER}"}],
+    )
+    config = {
+        "inputs": [
+            {"path": "one.jsonl", "source": "discharge"},
+            {"path": "two.jsonl", "source": "discharge"},
+        ],
+    }
+    code, out = run_cli_pipeline(tmp_path, config)
+    assert code == 0
+    errors = json.loads((out / "load_report.json").read_text())["errors"]
+    assert [(e["path"], e["line"]) for e in errors] == [("two.jsonl", 2)]
+    assert "duplicate document id 'x'" in errors[0]["message"]
+    assert [d["id"] for d in read_jsonl(out / "ingested.jsonl")] == ["x", "z"]
+    assert (out / "manifest.json").exists()
+
+
+def test_pipeline_readme_config_runs(tmp_path, capsys):
+    config, _ = pipeline_fixture(tmp_path)
+    config["clean"] = {}
+    config["dedup"] = {"threshold": 0.75, "mode": "representative", "comparison": "strict"}
+    code, out = run_cli_pipeline(tmp_path, config)
+    assert code == 0
+    report = json.loads((out / "dedup_report.json").read_text())
+    assert report["discharge"]["n_removed"] == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"dedup": {"threshold": 1.5}},
+        {"dedup": {"mode": "representative-keep"}},
+        {"anonymize": {"gazetteer": "missing.txt"}},
+        {"clean": {"policies": {"discharge": {"min_chars": -1}}}},
+    ],
+)
+def test_pipeline_bad_config_writes_no_artifact(tmp_path, capsys, change):
+    config, _ = pipeline_fixture(tmp_path)
+    config.update(change)
+    code, out = run_cli_pipeline(tmp_path, config)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_cli_dedup_matches_pipeline(tmp_path, capsys):
+    long_text = " ".join(f"wort{i}" for i in range(200))
+    corpus = tmp_path / "c.jsonl"
+    write_jsonl(
+        corpus,
+        [
+            {"id": "d1", "source": "discharge", "text": long_text},
+            {"id": "d2", "source": "discharge", "text": long_text},
+            {"id": "s1", "source": "discharge", "text": "kurzer gemeinsamer text"},
+            {"id": "e1", "source": "ehr", "text": "kurzer gemeinsamer text"},
+            {"id": "e2", "source": "ehr", "text": long_text},
+        ],
+    )
+    out = tmp_path / "dd.jsonl"
+    report = tmp_path / "dd.json"
+    assert cli.main(["dedup", str(corpus), "--out", str(out), "--report", str(report)]) == 0
+    code, out_dir = run_cli_pipeline(tmp_path, {"inputs": [{"path": "c.jsonl"}]})
+    assert code == 0
+    cli_ids = [d["id"] for d in read_jsonl(out)]
+    assert cli_ids == [d["id"] for d in read_jsonl(out_dir / "deduped.jsonl")]
+    assert cli_ids == ["d1", "s1", "e1", "e2"]
+    assert report.read_bytes() == (out_dir / "dedup_report.json").read_bytes()
+
+
 def test_pipeline_manifest_hash_tracks_config(tmp_path):
     config, _ = pipeline_fixture(tmp_path)
     first = run_pipeline(config, tmp_path / "one", tmp_path)
@@ -268,7 +378,7 @@ def test_cli_dedup_keeps_unvectorizable_docs(tmp_path, capsys):
     kept = [json.loads(l)["id"] for l in out.read_text().splitlines()]
     assert kept == ["a", "p"]  # duplicate dropped, tokenless doc passed through
     obj = json.loads(report.read_text())
-    assert obj["n_removed"] == 1
+    assert obj["s"]["n_removed"] == 1
 
 
 def test_cli_dedup_engines_agree(tmp_path, capsys):
