@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Iterable, Protocol, Sequence
 
-from .corpus import Document
+from .corpus import Document, read_lines
 
 KIND_NAME = "name"
 KIND_DATE = "date"
@@ -53,11 +53,7 @@ class Gazetteer:
 
     @classmethod
     def from_file(cls, path, case_insensitive: bool = False) -> "Gazetteer":
-        # utf-8-sig: a byte order mark would otherwise stay glued to the
-        # first entry, which then never matches.
-        with open(path, encoding="utf-8-sig") as fh:
-            entries = frozenset(line.strip() for line in fh if line.strip())
-        return cls(entries, case_insensitive)
+        return cls(frozenset(read_lines(path)), case_insensitive)
 
 
 class NameRecognizer(Protocol):
@@ -367,13 +363,11 @@ def anonymize_corpus(
     name_wildcard: str = NAME_WILDCARD,
     date_wildcard: str = DATE_WILDCARD,
     delete: bool = False,
-    check: bool = True,
 ) -> tuple[list[Document], AnonymizationReport]:
     """Redact names and dates across a corpus.
 
     ``delete=True`` removes matched surfaces instead of writing wildcards.
-    With ``check`` enabled every output document is re-scanned and hits are
-    recorded as residuals.
+    Every output document is re-scanned and hits are recorded as residuals.
     """
     recognizer = None
     if gazetteer is not None and gazetteer.entries:
@@ -392,8 +386,7 @@ def anonymize_corpus(
         new_text, _ = redact(doc.text, spans)
         out_docs.append(_dc_replace(doc, text=new_text))
         report.per_document.append(DocumentRedaction(doc.id, n_names, n_dates))
-        if check:
-            residual = _residual_scan(new_text, recognizer)
-            if residual:
-                report.residuals[doc.id] = residual
+        residual = _residual_scan(new_text, recognizer)
+        if residual:
+            report.residuals[doc.id] = residual
     return out_docs, report

@@ -10,7 +10,6 @@ on each other, the builder iterates the two to a fixed point.
 from __future__ import annotations
 
 import csv
-import json
 import random
 import re
 from collections import Counter
@@ -19,15 +18,13 @@ from datetime import date as _date
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Document
+from .corpus import Document, read_jsonl, write_jsonl, write_text
 
 SYSTEM_ICD10 = "icd10"
 SYSTEM_OPS = "ops"
 
 POLICY_DATE_MATCHED = "date-matched"
 POLICY_PATIENT_ALL = "patient-all"
-
-SURGERY_CHAPTER_PREFIX = "5-"
 
 _ICD_RE = re.compile(r"^[A-Z]\d{2}")
 _OPS_RE = re.compile(r"^\d-\d")
@@ -358,40 +355,36 @@ def _restrict(ex: LabeledExample, keep: set[str]) -> LabeledExample:
 def write_examples_jsonl(
     path: str | Path, examples: Iterable[LabeledExample], include_patient_ref: bool = False
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    def rows():
         for ex in examples:
             obj = {"id": ex.doc_id, "text": ex.text, "labels": sorted(ex.labels)}
             if include_patient_ref and ex.patient_ref is not None:
                 obj["patient_ref"] = ex.patient_ref
-            fh.write(json.dumps(obj, ensure_ascii=False))
-            fh.write("\n")
+            yield obj
+
+    write_jsonl(path, rows())
 
 
 def load_examples_jsonl(path: str | Path) -> list[LabeledExample]:
-    out: list[LabeledExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out.append(
-                LabeledExample(obj["id"], obj["text"], set(obj["labels"]), obj.get("patient_ref"))
-            )
-    return out
+    return [
+        LabeledExample(obj["id"], obj["text"], set(obj["labels"]), obj.get("patient_ref"))
+        for obj in read_jsonl(path)
+    ]
 
 
 def write_conll(path: str | Path, examples: Iterable[TokenLabeledExample]) -> None:
     """Token TAB tag lines, blank line between documents. Exported tag
     sequences must be valid BIO."""
-    with open(path, "w", encoding="utf-8") as fh:
-        first = True
-        for ex in examples:
+
+    def lines():
+        for i, ex in enumerate(examples):
             validate_bio(ex.tags)
-            if not first:
-                fh.write("\n")
+            if i:
+                yield "\n"
             for token, tag in zip(ex.tokens, ex.tags):
-                fh.write(f"{token}\t{tag}\n")
-            first = False
+                yield f"{token}\t{tag}\n"
+
+    write_text(path, lines())
 
 
 def load_conll(path: str | Path) -> list[TokenLabeledExample]:
@@ -436,10 +429,9 @@ def export_task(bundle: TaskBundle, out_dir: str | Path) -> None:
     write_examples_jsonl(out / "train.jsonl", bundle.split.train)
     write_examples_jsonl(out / "valid.jsonl", bundle.split.valid)
     write_examples_jsonl(out / "test.jsonl", bundle.split.test)
-    with open(out / "labels.txt", "w", encoding="utf-8") as fh:
-        for lab in bundle.labels:
-            fh.write(lab + "\n")
-    with open(out / "distribution.tsv", "w", encoding="utf-8") as fh:
-        fh.write("Class\tTrain\tValid\tTest\n")
-        for lab, n_tr, n_va, n_te in label_distribution(bundle.split, bundle.labels):
-            fh.write(f"{lab}\t{n_tr}\t{n_va}\t{n_te}\n")
+    write_text(out / "labels.txt", (lab + "\n" for lab in bundle.labels))
+    rows = label_distribution(bundle.split, bundle.labels)
+    write_text(
+        out / "distribution.tsv",
+        ("\t".join(map(str, row)) + "\n" for row in [("Class", "Train", "Valid", "Test"), *rows]),
+    )

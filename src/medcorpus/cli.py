@@ -8,7 +8,6 @@ override values read from JSON config files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -69,7 +68,7 @@ def cmd_stats(args) -> int:
     mb = corpus_mod.MB_BINARY if args.binary_mb else corpus_mod.MB_DECIMAL
     tsv = corpus_mod.stats_to_tsv(stats, mb)
     if args.out:
-        Path(args.out).write_text(tsv, encoding="utf-8")
+        corpus_mod.write_text(args.out, [tsv])
     else:
         sys.stdout.write(tsv)
     if args.json:
@@ -95,8 +94,7 @@ def cmd_dedup(args) -> int:
         comparison=args.comparison,
         max_doc_words=args.max_words if args.max_words > 0 else None,
     )
-    engine = dedup_mod.dedup_exact if args.engine == "exact" else dedup_mod.dedup_indexed
-    kept, reports = dedup_mod.dedup_documents(docs, cfg, engine)
+    kept, reports = dedup_mod.dedup_documents(docs, cfg)
     if args.out:
         corpus_mod.write_documents(args.out, kept)
     if args.report:
@@ -150,31 +148,24 @@ def cmd_vocab_build(args) -> int:
     return 0
 
 
-def _load_vocab(path: str) -> subword_mod.Vocabulary:
-    return subword_mod.Vocabulary.load(path)
-
-
 def cmd_tokenize(args) -> int:
     docs = _load_docs(args.input, args.source)
-    vocab = _load_vocab(args.vocab)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    vocab = subword_mod.Vocabulary.load(args.vocab)
+
+    def rows():
         for doc in docs:
-            words, ids = subword_mod.tokenize_text(doc.text, vocab)
-            pieces = [vocab.tokens[i] for id_list in ids for i in id_list]
+            _, ids = subword_mod.tokenize_text(doc.text, vocab)
             flat = [i for id_list in ids for i in id_list]
-            fh.write(
-                json.dumps(
-                    {"id": doc.id, "pieces": pieces, "ids": flat}, ensure_ascii=False
-                )
-            )
-            fh.write("\n")
+            yield {"id": doc.id, "pieces": [vocab.tokens[i] for i in flat], "ids": flat}
+
+    corpus_mod.write_jsonl(args.out, rows())
     print(f"tokenized {len(docs)} documents")
     return 0
 
 
 def cmd_fertility(args) -> int:
     docs = _load_docs(args.input, args.source)
-    vocab = _load_vocab(args.vocab)
+    vocab = subword_mod.Vocabulary.load(args.vocab)
     report = subword_mod.measure_fertility(
         ((d.id, d.text) for d in docs), vocab, per_document=args.per_document
     )
@@ -232,28 +223,12 @@ def cmd_bench_split(args) -> int:
     return 0
 
 
-def _read_labels(path: str | None) -> list[str] | None:
-    if path is None:
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
-
-
-def _read_jsonl(path: str) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
-
-
 def cmd_eval_clf(args) -> int:
     gold = bench.load_examples_jsonl(args.gold)
     preds = metrics_mod.load_classification_predictions(
         ((ex.doc_id, ex.labels) for ex in gold),
-        _read_jsonl(args.pred),
-        labels=_read_labels(args.labels),
+        corpus_mod.read_jsonl(args.pred),
+        labels=corpus_mod.read_lines(args.labels) if args.labels else None,
     )
     report = metrics_mod.multilabel_report(preds, threshold=args.threshold)
     metrics_mod.write_report(report, args.report, args.tsv)
@@ -268,7 +243,7 @@ def cmd_eval_clf(args) -> int:
 
 def cmd_eval_ner(args) -> int:
     gold = bench.load_conll(args.gold)
-    rows = _read_jsonl(args.pred)
+    rows = corpus_mod.read_jsonl(args.pred)
     if len(rows) != len(gold):
         raise ValueError(
             f"prediction count {len(rows)} does not match gold document count {len(gold)}"
@@ -286,7 +261,7 @@ def cmd_eval_ner(args) -> int:
     report = metrics_mod.ner_token_report(
         [ex.tags for ex in gold],
         pred_tags,
-        labels=_read_labels(args.labels),
+        labels=corpus_mod.read_lines(args.labels) if args.labels else None,
         token_scores=token_scores if have_scores else None,
     )
     metrics_mod.write_report(report, args.report, args.tsv)
@@ -299,8 +274,7 @@ def cmd_eval_ner(args) -> int:
 
 
 def cmd_hpo_run(args) -> int:
-    with open(args.space, encoding="utf-8") as fh:
-        space = hpo_mod.SearchSpace.from_obj(json.load(fh))
+    space = hpo_mod.SearchSpace.from_obj(corpus_mod.read_json(args.space))
     study = hpo_mod.run_study(
         space,
         hpo_mod.command_objective(args.cmd),
@@ -334,8 +308,7 @@ def cmd_pretrain_config(args) -> int:
 
 def cmd_pipeline(args) -> int:
     config_path = Path(args.config)
-    with open(config_path, encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = corpus_mod.read_json(config_path)
     manifest = pipeline_mod.run_pipeline(config, args.out_dir, config_path.parent)
     for stage in manifest.stages:
         print(f"{stage.name}: {stage.n_in} in, {stage.n_out} out")
@@ -393,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-words", type=int, default=0,
         help="only documents this short participate; 0 (the default) disables the gate",
     )
-    p.add_argument("--engine", choices=["indexed", "exact"], default="indexed")
     p.add_argument("--out")
     p.add_argument("--report")
     p.set_defaults(handler=cmd_dedup)

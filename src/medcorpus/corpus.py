@@ -9,26 +9,12 @@ thresholds and the stopword sentence filter.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-KNOWN_SOURCES = frozenset(
-    {
-        "radiology-report",
-        "thesis",
-        "ehr",
-        "textbook",
-        "wiki",
-        "webcrawl",
-        "abstract",
-        "other",
-    }
-)
 
 SENTENCE_TERMINATORS = ".!?;"
 
@@ -43,8 +29,8 @@ DEFAULT_CHARS_PER_PAGE = 1800
 class Document:
     """One text unit with its provenance.
 
-    ``source`` is an open set of kinds; :data:`KNOWN_SOURCES` lists the ones
-    the pipeline has presets for, but unknown kinds pass through untouched.
+    ``source`` is an open set of kinds; :func:`policy_presets` covers some of
+    them, and unknown kinds pass through untouched.
     """
 
     id: str
@@ -149,9 +135,13 @@ def document_to_obj(doc: Document) -> dict:
     return obj
 
 
-def _replace_file(path: str | Path, chunks: Iterable[str]) -> None:
+# --- the file layer: every artifact write and list or JSONL read -----------
+
+
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to a temp file next to ``path``, then rename it over
-    ``path``, so a reader never sees a half-written artifact."""
+    ``path``, so a reader never sees a half-written artifact and a failure
+    part-way leaves the old file as it was. ``chunks`` is consumed lazily."""
     path = Path(path)
     if path.exists() and not path.is_file():
         # a pipe or device such as /dev/stdout can be written but not replaced
@@ -169,11 +159,14 @@ def _replace_file(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
+def write_jsonl(path: str | Path, rows: Iterable) -> None:
+    """One compact JSON value per line, non-ASCII characters unescaped."""
+    write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
 def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
-    """One JSON object per line, in ``docs`` order; written atomically."""
-    _replace_file(
-        path, (json.dumps(document_to_obj(doc), ensure_ascii=False) + "\n" for doc in docs)
-    )
+    """One JSON object per line, in ``docs`` order."""
+    write_jsonl(path, (document_to_obj(doc) for doc in docs))
 
 
 def json_text(obj) -> str:
@@ -183,8 +176,39 @@ def json_text(obj) -> str:
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Write ``obj`` in :func:`json_text` format; written atomically."""
-    _replace_file(path, [json_text(obj)])
+    """Write ``obj`` in :func:`json_text` format."""
+    write_text(path, [json_text(obj)])
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The entries of a list file: UTF-8 with an optional byte order mark,
+    one entry per line, surrounding whitespace stripped, blank lines
+    skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return [entry for entry in (line.strip() for line in fh) if entry]
+
+
+def read_json(path: str | Path):
+    """One JSON document; a parse error names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def read_jsonl(path: str | Path) -> list:
+    """One JSON value per non-blank line; a malformed line raises a
+    ``ValueError`` that names the file and the line number."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    rows.append(json.loads(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    return rows
 
 
 # --- sentence and word segmentation ---------------------------------------
@@ -398,13 +422,6 @@ def compute_corpus_stats(docs: Iterable[Document]) -> CorpusStats:
     per_source: dict[str, SourceStats] = {}
     for doc in docs:
         per_source.setdefault(doc.source, SourceStats()).add_document(doc)
-    return CorpusStats(per_source)
-
-
-def merged_stats(a: CorpusStats, b: CorpusStats) -> CorpusStats:
-    per_source = dict(a.per_source)
-    for source, s in b.per_source.items():
-        per_source[source] = per_source.get(source, SourceStats()).merged(s)
     return CorpusStats(per_source)
 
 

@@ -1,16 +1,18 @@
 """Near-duplicate removal over bag-of-words cosine similarity.
 
-Two interchangeable engines produce identical results:
+Two engines produce identical results:
 
 * :func:`dedup_exact` compares every incoming document against every kept
-  document. Quadratic, trivially auditable, the reference.
+  document. Quadratic, trivially auditable, the reference that the tests
+  hold the indexed engine to.
 * :func:`dedup_indexed` screens all pairs on blocked approximate scores
   (dense BLAS products for common terms, a sparse product for rare ones)
   and only verifies pairs whose approximate score is within a safety
   margin of the threshold. Every decision is made by the same
   :func:`cosine_similarity` call on the same operands as the exact
   engine, so the keep set, the removal set, and the clusters are
-  identical; only ``pairs_examined`` may differ.
+  identical; only ``pairs_examined`` may differ. :func:`dedup_documents`,
+  which the CLI and the pipeline call, runs this engine.
 
 Candidate generation never filters terms by document frequency. Dropping
 high-frequency terms from the index looks attractive but is unsound: two
@@ -45,6 +47,10 @@ COMPARISONS = {"strict": COMPARISON_STRICT, "inclusive": COMPARISON_INCLUSIVE}
 # orders of magnitude below this margin, so a pair skipped here can never
 # exceed the threshold under exact verification.
 _SCORE_MARGIN = 1e-6
+
+# Participant rows scored per screening block: the score buffer holds
+# BLOCK_ROWS x n floats.
+BLOCK_ROWS = 512
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
@@ -366,7 +372,6 @@ def _near_threshold_pairs(
     vectors: Sequence[BowVector],
     participants: list[int],
     cfg: DedupConfig,
-    block_rows: int,
 ) -> dict[int, list[int]]:
     """Map each participant to the earlier participants whose approximate
     cosine reaches threshold - margin.
@@ -426,9 +431,9 @@ def _near_threshold_pairs(
 
     cutoff = cfg.threshold - _SCORE_MARGIN
     out: dict[int, list[int]] = {}
-    scores_buf = np.empty((min(block_rows, n), n))
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
+    scores_buf = np.empty((min(BLOCK_ROWS, n), n))
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
         scores = scores_buf[: stop - start]
         if dense is not None:
             np.dot(dense[start:stop], dense.T, out=scores)
@@ -446,11 +451,7 @@ def _near_threshold_pairs(
     return out
 
 
-def dedup_indexed(
-    vectors: Sequence[BowVector],
-    cfg: DedupConfig = DedupConfig(),
-    block_rows: int = 512,
-) -> DedupReport:
+def dedup_indexed(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()) -> DedupReport:
     """Accelerated engine with output identical to :func:`dedup_exact`.
 
     Pairs whose approximate score cannot reach the threshold are skipped;
@@ -459,7 +460,7 @@ def dedup_indexed(
     """
     _validate_vectors(vectors)
     participants, bypassed = _split_participants(vectors, cfg)
-    candidates = _near_threshold_pairs(vectors, participants, cfg, block_rows)
+    candidates = _near_threshold_pairs(vectors, participants, cfg)
     counter = [0]
     if cfg.mode == MODE_REPRESENTATIVE:
         return _representative_walk(
@@ -469,27 +470,17 @@ def dedup_indexed(
     return _literal_drop(vectors, cfg, participants, bypassed, pairs, counter)
 
 
-def apply_report(docs: Sequence[Document], report: DedupReport) -> list[Document]:
-    """Filter a document sequence down to the kept ids of a report."""
-    kept = set(report.kept_ids)
-    return [d for d in docs if d.id in kept]
-
-
 def dedup_documents(
-    docs: Sequence[Document],
-    cfg: DedupConfig,
-    engine: Callable[[Sequence[BowVector], DedupConfig], DedupReport] | None = None,
+    docs: Sequence[Document], cfg: DedupConfig
 ) -> tuple[list[Document], dict[str, DedupReport]]:
     """Near-duplicate removal within each source, as both front ends run it.
 
-    Each source's documents go through ``engine`` (default
-    :func:`dedup_indexed`) on their own, so documents of different sources
-    never remove each other. Documents without analyzable terms cannot be
-    compared and are kept. Returns the kept documents in input order and
-    one report per source, in sorted source order.
+    Each source's documents go through :func:`dedup_indexed` on their own,
+    so documents of different sources never remove each other. Documents
+    without analyzable terms cannot be compared and are kept. Returns the
+    kept documents in input order and one report per source, in sorted
+    source order.
     """
-    if engine is None:
-        engine = dedup_indexed
     groups: dict[str, list[Document]] = {}
     for doc in docs:
         groups.setdefault(doc.source, []).append(doc)
@@ -503,6 +494,6 @@ def dedup_documents(
                 vectors.append(vectorize(doc))
             except EmptyVectorError:
                 kept.add((source, doc.id))
-        reports[source] = engine(vectors, cfg)
+        reports[source] = dedup_indexed(vectors, cfg)
         kept.update((source, doc_id) for doc_id in reports[source].kept_ids)
     return [d for d in docs if (d.source, d.id) in kept], reports

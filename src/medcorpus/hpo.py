@@ -13,7 +13,6 @@ byte-identical study files.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .corpus import write_json
+from .corpus import read_json, write_json
 
 STATE_RUNNING = "running"
 STATE_PRUNED = "pruned"
@@ -168,8 +167,7 @@ class Study:
 
     @classmethod
     def load(cls, path: str | Path) -> "Study":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = read_json(path)
         study = cls(
             obj["direction"], obj["n_trials"], obj["n_startup_trials"], obj["seed"]
         )

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import write_json
+from .corpus import write_json, write_text
 
 
 class UndefinedMetricError(ValueError):
@@ -307,8 +307,7 @@ def write_report(report: MetricReport, json_path=None, tsv_path=None) -> None:
     if json_path is not None:
         write_json(json_path, report.to_obj())
     if tsv_path is not None:
-        with open(tsv_path, "w", encoding="utf-8") as fh:
-            fh.write(render_report_tsv(report))
+        write_text(tsv_path, [render_report_tsv(report)])
 
 
 def load_classification_predictions(

@@ -126,8 +126,32 @@ def _config_hash(obj) -> str:
     ).hexdigest()
 
 
+# the keys each part of a pipeline config may hold; any other key is an error
+_CONFIG_KEYS = {
+    "pipeline config": {"inputs", "clean", "dedup", "anonymize", "stats"},
+    "input entry": {"path", "source"},
+    "clean": {"policies"},
+    "clean policy": {
+        "min_chars", "min_pages", "chars_per_page", "stopword_sentence_filter", "stopword_list",
+    },
+    "dedup": {"threshold", "mode", "comparison", "max_doc_words"},
+    "anonymize": {"gazetteer", "case_insensitive", "name_wildcard", "date_wildcard", "delete"},
+    "stats": {"binary_mb"},
+}
+
+
+def _checked(obj, part: str) -> dict:
+    """``obj`` if it is an object holding only the keys known for ``part``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{part} must be a JSON object, not {type(obj).__name__}")
+    for key in obj:
+        if key not in _CONFIG_KEYS[part]:
+            raise ValueError(f"unknown key {key!r} in {part}; known: {sorted(_CONFIG_KEYS[part])}")
+    return obj
+
+
 def _policy_from_obj(obj: dict) -> corpus_mod.CleanPolicy:
-    stopwords = obj.get("stopword_list")
+    stopwords = _checked(obj, "clean policy").get("stopword_list")
     use_filter = bool(obj.get("stopword_sentence_filter", False))
     if use_filter and stopwords is None:
         stopword_set = corpus_mod.default_german_stopwords()
@@ -146,33 +170,47 @@ def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = "."
     """Run ingest, clean, dedup, anonymize, stats on the configured inputs.
 
     The whole config, including the gazetteer file, is checked before the
-    first artifact is written. Relative input paths are resolved against
+    first artifact is written: an unknown key or a value of the wrong type
+    is a ``ValueError``. Relative input paths are resolved against
     ``config_dir``; the manifest stores them as written in the config so
     that reruns into different output directories stay comparable.
     """
     base = Path(config_dir)
-    inputs = config.get("inputs")
-    if not inputs:
-        raise ValueError("pipeline config has no 'inputs'")
-    clean_cfg = config.get("clean", {})
-    policies = corpus_mod.policy_presets()
-    for source, obj in clean_cfg.get("policies", {}).items():
-        policies[source] = _policy_from_obj(obj)
-    dd_cfg_obj = config.get("dedup", {})
-    dd_cfg = dedup_mod.DedupConfig.from_names(
-        threshold=dd_cfg_obj.get("threshold", 0.75),
-        mode=dd_cfg_obj.get("mode", "representative"),
-        comparison=dd_cfg_obj.get("comparison", "strict"),
-        max_doc_words=dd_cfg_obj.get("max_doc_words"),
-    )
-    an_cfg = config.get("anonymize", {})
-    gazetteer = None
-    if an_cfg.get("gazetteer"):
-        gazetteer = anon.Gazetteer.from_file(
-            base / an_cfg["gazetteer"], bool(an_cfg.get("case_insensitive", False))
+    try:
+        inputs = _checked(config, "pipeline config").get("inputs")
+        if not inputs:
+            raise ValueError("pipeline config has no 'inputs'")
+        for entry in inputs:
+            if not isinstance(_checked(entry, "input entry").get("path"), str):
+                raise ValueError("input entry without a 'path' string")
+        clean_cfg = _checked(config.get("clean", {}), "clean")
+        policies = corpus_mod.policy_presets()
+        policy_objs = clean_cfg.get("policies", {})
+        if not isinstance(policy_objs, dict):
+            raise ValueError("clean policies must be a JSON object")
+        for source, obj in policy_objs.items():
+            policies[source] = _policy_from_obj(obj)
+        dd_cfg_obj = _checked(config.get("dedup", {}), "dedup")
+        dd_cfg = dedup_mod.DedupConfig.from_names(
+            threshold=dd_cfg_obj.get("threshold", 0.75),
+            mode=dd_cfg_obj.get("mode", "representative"),
+            comparison=dd_cfg_obj.get("comparison", "strict"),
+            max_doc_words=dd_cfg_obj.get("max_doc_words"),
         )
-    stats_cfg = config.get("stats", {})
-    mb_base = corpus_mod.MB_BINARY if stats_cfg.get("binary_mb") else corpus_mod.MB_DECIMAL
+        an_cfg = _checked(config.get("anonymize", {}), "anonymize")
+        name_wildcard = an_cfg.get("name_wildcard", anon.NAME_WILDCARD)
+        date_wildcard = an_cfg.get("date_wildcard", anon.DATE_WILDCARD)
+        if not isinstance(name_wildcard, str) or not isinstance(date_wildcard, str):
+            raise ValueError("name_wildcard and date_wildcard must be strings")
+        gazetteer = None
+        if an_cfg.get("gazetteer"):
+            gazetteer = anon.Gazetteer.from_file(
+                base / an_cfg["gazetteer"], bool(an_cfg.get("case_insensitive", False))
+            )
+        stats_cfg = _checked(config.get("stats", {}), "stats")
+        mb_base = corpus_mod.MB_BINARY if stats_cfg.get("binary_mb") else corpus_mod.MB_DECIMAL
+    except TypeError as exc:
+        raise ValueError(f"bad value in pipeline config: {exc}") from None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -228,8 +266,8 @@ def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = "."
     anonymized, anon_report = anon.anonymize_corpus(
         deduped,
         gazetteer,
-        name_wildcard=an_cfg.get("name_wildcard", anon.NAME_WILDCARD),
-        date_wildcard=an_cfg.get("date_wildcard", anon.DATE_WILDCARD),
+        name_wildcard=name_wildcard,
+        date_wildcard=date_wildcard,
         delete=bool(an_cfg.get("delete", False)),
     )
     stage(
@@ -244,8 +282,7 @@ def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = "."
     )
 
     stats = corpus_mod.compute_corpus_stats(anonymized)
-    with open(out / "stats.tsv", "w", encoding="utf-8") as fh:
-        fh.write(corpus_mod.stats_to_tsv(stats, mb_base))
+    corpus_mod.write_text(out / "stats.tsv", [corpus_mod.stats_to_tsv(stats, mb_base)])
     corpus_mod.write_json(out / "stats.json", corpus_mod.stats_to_obj(stats, mb_base))
     manifest.stages.append(
         StageRecord(

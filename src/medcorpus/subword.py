@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .corpus import read_lines, write_text
+
 DEFAULT_SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 UNK_TOKEN = "[UNK]"
 CONTINUATION_PREFIX = "##"
@@ -116,15 +118,11 @@ class Vocabulary:
         return self._ids[UNK_TOKEN]
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
+        write_text(path, (tok + "\n" for tok in self.tokens))
 
     @classmethod
     def load(cls, path: str | Path, config: VocabConfig = VocabConfig()) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens, config)
+        return cls(read_lines(path), config)
 
 
 def _merge_step(

@@ -358,6 +358,20 @@ def test_conll_export_enforces_bio(tmp_path):
         write_conll(tmp_path / "t.conll", [bad])
 
 
+def test_conll_export_failing_part_way_keeps_old_file(tmp_path):
+    path = tmp_path / "t.conll"
+    write_conll(path, [TokenLabeledExample("a", ["alt"], ["O"])])
+    before = path.read_bytes()
+    examples = [
+        TokenLabeledExample("a", ["x"], ["B-X"]),
+        TokenLabeledExample("b", ["y"], ["I-Y"]),  # dangling inside tag
+    ]
+    with pytest.raises(ValueError):
+        write_conll(path, examples)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.conll"]
+
+
 def test_conll_bad_line(tmp_path):
     path = tmp_path / "t.conll"
     path.write_text("token without tag\n")

@@ -1,11 +1,15 @@
+import ast
 import datetime
 import json
 import os
+import re
 import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import medcorpus
 from medcorpus.corpus import (
     MB_BINARY,
     MB_DECIMAL,
@@ -20,8 +24,9 @@ from medcorpus.corpus import (
     count_words,
     default_german_stopwords,
     load_documents,
-    merged_stats,
     policy_presets,
+    read_jsonl,
+    read_lines,
     split_sentences,
     stats_to_obj,
     stats_to_tsv,
@@ -140,6 +145,82 @@ def test_write_json_into_pipe_writes_without_replacing(tmp_path):
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def _file_writes(tree: ast.AST, corpus_names: set[str]) -> list[int]:
+    """Lines that open a file for writing or call ``write_text``/``write_bytes``
+    on anything but the corpus module. A mode that is not a literal counts."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            if not (isinstance(func.value, ast.Name) and func.value.id in corpus_names):
+                lines.append(node.lineno)
+        is_builtin = isinstance(func, ast.Name) and func.id == "open"
+        if is_builtin or (isinstance(func, ast.Attribute) and func.attr == "open"):
+            mode_index = 1 if is_builtin else 0  # open(path, mode) / Path.open(mode)
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None and len(node.args) > mode_index:
+                mode = node.args[mode_index]
+            if mode is not None and not (
+                isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_corpus_module_writes_files():
+    package = Path(medcorpus.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        corpus_names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+            if alias.name == "corpus"
+        }
+        lines = _file_writes(tree, corpus_names)
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
+
+
+def test_file_write_check_sees_each_form():
+    source = """
+from . import corpus as corpus_mod
+open(p, "w")
+open(p, mode="a", encoding="utf-8")
+open(p, m)
+Path(p).open("wb")
+Path(p).write_text(t)
+p.write_bytes(b)
+open(p)
+open(p, "r", encoding="utf-8")
+Path(p).open()
+corpus_mod.write_text(p, [t])
+"""
+    assert _file_writes(ast.parse(source), {"corpus_mod"}) == [3, 4, 5, 6, 7, 8]
+
+
+def test_read_lines_one_rule_for_list_files(tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_bytes("\ufeff Anna \r\n\n\tBernd\n   \nCarla".encode("utf-8"))
+    assert read_lines(path) == ["Anna", "Bernd", "Carla"]
+
+
+def test_read_jsonl_skips_blank_lines_and_names_a_bad_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n[2]\n', encoding="utf-8")
+    assert read_jsonl(path) == [{"a": 1}, [2]]
+    path.write_text('{"a": 1}\n\n{"a": \n', encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "):
+        read_jsonl(path)
 
 
 def test_load_documents_records_errors(tmp_path):
@@ -292,10 +373,7 @@ def test_stats_counts_utf8_bytes():
 def test_stats_additivity(rows_a, rows_b):
     docs_a = [make_doc(t, source=s, doc_id=f"a{i}") for i, (s, t) in enumerate(rows_a)]
     docs_b = [make_doc(t, source=s, doc_id=f"b{i}") for i, (s, t) in enumerate(rows_b)]
-    combined = compute_corpus_stats(docs_a + docs_b)
-    merged = merged_stats(compute_corpus_stats(docs_a), compute_corpus_stats(docs_b))
-    assert stats_to_obj(combined) == stats_to_obj(merged)
-    tot = combined.total
+    tot = compute_corpus_stats(docs_a + docs_b).total
     parts = [compute_corpus_stats(docs_a).total, compute_corpus_stats(docs_b).total]
     assert tot.n_documents == sum(p.n_documents for p in parts)
     assert tot.n_words == sum(p.n_words for p in parts)

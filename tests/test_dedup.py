@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from medcorpus import dedup
 from medcorpus.corpus import Document
 from medcorpus.dedup import (
     COMPARISON_INCLUSIVE,
@@ -12,7 +14,6 @@ from medcorpus.dedup import (
     BowVector,
     DedupConfig,
     EmptyVectorError,
-    apply_report,
     cosine_similarity,
     dedup_exact,
     dedup_indexed,
@@ -241,14 +242,6 @@ def test_report_accounting_and_serialization():
     assert len(removed) == len(set(removed)) == report.n_removed
 
 
-def test_apply_report_preserves_order():
-    docs = [doc("A", "herz lunge herz lunge herz"), doc("A2", "herz lunge herz lunge"), doc("B", "leber niere milz")]
-    vectors = [vectorize(d) for d in docs]
-    report = dedup_exact(vectors, DedupConfig())
-    kept = apply_report(docs, report)
-    assert [d.id for d in kept] == ["A", "B"]
-
-
 # --- engine equivalence -----------------------------------------------------
 
 _corpus = st.lists(_counts, min_size=0, max_size=40)
@@ -279,7 +272,8 @@ def test_indexed_equals_exact(count_dicts, params):
         threshold=threshold, comparison=comparison, mode=mode, max_doc_words=max_words
     )
     exact = dedup_exact(vectors, cfg)
-    indexed = dedup_indexed(vectors, cfg, block_rows=7)
+    with mock.patch.object(dedup, "BLOCK_ROWS", 7):  # many blocks on small corpora
+        indexed = dedup_indexed(vectors, cfg)
     assert report_key(indexed) == report_key(exact)
 
 

@@ -16,7 +16,8 @@ from medcorpus.pipeline import (
     run_pipeline,
 )
 from medcorpus.synth import benchmark_corpus
-from medcorpus.corpus import write_documents
+from medcorpus.corpus import Document, write_documents
+from medcorpus.dedup import DedupConfig, dedup_exact, vectorize
 
 
 def write_jsonl(path, rows):
@@ -225,6 +226,18 @@ def test_pipeline_readme_config_runs(tmp_path, capsys):
         {"dedup": {"mode": "representative-keep"}},
         {"anonymize": {"gazetteer": "missing.txt"}},
         {"clean": {"policies": {"discharge": {"min_chars": -1}}}},
+        # unknown keys: top level, input entry, section, clean policy
+        {"anonymise": {}},
+        {"inputs": [{"path": "corpus.jsonl", "sorce": "ehr"}]},
+        {"anonymize": {"gazeteer": "names.txt"}},
+        {"dedup": {"treshold": 1.5}},
+        {"clean": {"policies": {"discharge": {"min_char": 5}}}},
+        # values of the wrong type
+        {"clean": {"policies": {"discharge": {"min_chars": [1]}}}},
+        {"dedup": {"threshold": [1]}},
+        {"inputs": "corpus.jsonl"},
+        {"inputs": [{"source": "ehr"}]},
+        {"anonymize": {"name_wildcard": 1}},
     ],
 )
 def test_pipeline_bad_config_writes_no_artifact(tmp_path, capsys, change):
@@ -234,6 +247,13 @@ def test_pipeline_bad_config_writes_no_artifact(tmp_path, capsys, change):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_pipeline_unknown_key_is_named(tmp_path):
+    config, _ = pipeline_fixture(tmp_path)
+    config["anonymize"] = {"gazeteer": "names.txt"}
+    with pytest.raises(ValueError, match="unknown key 'gazeteer' in anonymize"):
+        run_pipeline(config, tmp_path / "out", tmp_path)
 
 
 def test_cli_dedup_matches_pipeline(tmp_path, capsys):
@@ -381,7 +401,7 @@ def test_cli_dedup_keeps_unvectorizable_docs(tmp_path, capsys):
     assert obj["s"]["n_removed"] == 1
 
 
-def test_cli_dedup_engines_agree(tmp_path, capsys):
+def test_cli_dedup_keeps_what_exact_engine_keeps(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     rows = [
         {"id": f"d{i}", "source": "s", "text": f"wort{i} wort{(i + 1) % 7} gemeinsam"}
@@ -389,12 +409,12 @@ def test_cli_dedup_engines_agree(tmp_path, capsys):
     ]
     rows.append({"id": "d0-copy", "source": "s", "text": rows[0]["text"]})
     write_jsonl(corpus, rows)
-    outs = []
-    for engine in ("indexed", "exact"):
-        out = tmp_path / f"{engine}.jsonl"
-        assert cli.main(["dedup", str(corpus), "--engine", engine, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    out = tmp_path / "dd.jsonl"
+    assert cli.main(["dedup", str(corpus), "--out", str(out)]) == 0
+    docs = [Document(r["id"], r["source"], r["text"]) for r in rows]
+    exact = dedup_exact([vectorize(d) for d in docs], DedupConfig.from_names())
+    assert [d["id"] for d in read_jsonl(out)] == exact.kept_ids
+    assert "d0-copy" not in exact.kept_ids
 
 
 def test_cli_anonymize_residual_free_run(tmp_path, capsys):
@@ -526,6 +546,39 @@ def test_cli_eval_clf(tmp_path, capsys):
     assert obj["macro"]["auroc"] == 100.0
     assert tsv.read_text().startswith("Class\tAUROC")
     assert "macro AUROC 100.00" in capsys.readouterr().out
+
+
+def test_cli_eval_clf_labels_file_with_byte_order_mark(tmp_path, capsys):
+    gold_path = tmp_path / "gold.jsonl"
+    write_examples_jsonl(
+        gold_path, [LabeledExample("d1", "t", {"A"}), LabeledExample("d2", "t", {"B"})]
+    )
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(
+        pred_path,
+        [{"id": "d1", "scores": {"A": 0.9, "B": 0.1}}, {"id": "d2", "scores": {"A": 0.2, "B": 0.8}}],
+    )
+    labels = tmp_path / "labels.txt"
+    labels.write_bytes("\ufeffA\r\n\n B \n".encode("utf-8"))
+    report = tmp_path / "report.json"
+    code = cli.main(
+        [
+            "eval", "clf", "--gold", str(gold_path), "--pred", str(pred_path),
+            "--labels", str(labels), "--report", str(report),
+        ]
+    )
+    assert code == 0
+    assert sorted(json.loads(report.read_text())["per_class"]) == ["A", "B"]
+
+
+def test_cli_eval_clf_malformed_gold_line_names_file_and_line(tmp_path, capsys):
+    gold_path = tmp_path / "gold.jsonl"
+    gold_path.write_text('{"id": "d1", "text": "t", "labels": ["A"]}\n{bad\n', encoding="utf-8")
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(pred_path, [{"id": "d1", "scores": {"A": 0.9}}])
+    code = cli.main(["eval", "clf", "--gold", str(gold_path), "--pred", str(pred_path)])
+    assert code == 2
+    assert f"{gold_path}: line 2:" in capsys.readouterr().err
 
 
 def test_cli_eval_ner(tmp_path, capsys):
