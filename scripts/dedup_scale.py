@@ -18,7 +18,7 @@ def main() -> None:
     ap.add_argument("--n-docs", type=int, default=50_000)
     ap.add_argument("--dup-rate", type=float, default=0.19)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--threshold", type=float, default=0.75)
+    ap.add_argument("--threshold", type=float, default=DedupConfig.threshold)
     args = ap.parse_args()
 
     t0 = time.monotonic()

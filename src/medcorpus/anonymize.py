@@ -362,21 +362,19 @@ def anonymize_corpus(
     gazetteer: Gazetteer | None,
     name_wildcard: str = NAME_WILDCARD,
     date_wildcard: str = DATE_WILDCARD,
-    delete: bool = False,
 ) -> tuple[list[Document], AnonymizationReport]:
     """Redact names and dates across a corpus.
 
-    ``delete=True`` removes matched surfaces instead of writing wildcards.
-    Every output document is re-scanned and hits are recorded as residuals.
+    Empty wildcards delete the matched surfaces. Every output document is
+    re-scanned and hits are recorded as residuals.
     """
     recognizer = None
     if gazetteer is not None and gazetteer.entries:
-        recognizer = GazetteerRecognizer(gazetteer, "" if delete else name_wildcard)
+        recognizer = GazetteerRecognizer(gazetteer, name_wildcard)
     out_docs: list[Document] = []
     report = AnonymizationReport()
-    date_repl = "" if delete else date_wildcard
     for doc in docs:
-        spans: list[RedactionSpan] = list(detect_dates(doc.text, date_repl))
+        spans: list[RedactionSpan] = list(detect_dates(doc.text, date_wildcard))
         n_dates = len(spans)
         n_names = 0
         if recognizer is not None:

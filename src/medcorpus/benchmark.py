@@ -278,7 +278,7 @@ def stratified_split(
 def select_labels(
     all_examples: Sequence[LabeledExample],
     test_examples: Sequence[LabeledExample],
-    min_test_support: int = 10,
+    min_test_support: int,
 ) -> list[str]:
     """Labels ordered by global frequency (descending, ties alphabetical),
     restricted to those with enough test-set examples. An empty selection
@@ -365,11 +365,31 @@ def write_examples_jsonl(
     write_jsonl(path, rows())
 
 
+def _example_from_obj(obj: object) -> LabeledExample:
+    if not isinstance(obj, dict):
+        raise ValueError("row is not a JSON object")
+    for key in ("id", "text"):
+        if not isinstance(obj.get(key), str):
+            raise ValueError(f"missing or non-string {key!r} field")
+    labels = obj.get("labels")
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise ValueError("'labels' must be a list of strings")
+    patient_ref = obj.get("patient_ref")
+    if patient_ref is not None and not isinstance(patient_ref, str):
+        raise ValueError("'patient_ref' must be a string")
+    return LabeledExample(obj["id"], obj["text"], set(labels), patient_ref)
+
+
 def load_examples_jsonl(path: str | Path) -> list[LabeledExample]:
-    return [
-        LabeledExample(obj["id"], obj["text"], set(obj["labels"]), obj.get("patient_ref"))
-        for obj in read_jsonl(path)
-    ]
+    """Examples as :func:`write_examples_jsonl` writes them; a row of another
+    shape is a ``ValueError`` that names the file and the line."""
+    examples = []
+    for line_no, obj in read_jsonl(path):
+        try:
+            examples.append(_example_from_obj(obj))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    return examples
 
 
 def write_conll(path: str | Path, examples: Iterable[TokenLabeledExample]) -> None:

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data or input error, 3 internal
-error. Every subcommand is a thin wrapper over library functions; flags
-override values read from JSON config files.
+error. Every subcommand is a thin wrapper over library functions. A flag
+that is left out passes nothing, so every default is the library's.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _given(**settings) -> dict:
+    """The settings whose flag was given on the command line."""
+    return {key: value for key, value in settings.items() if value is not None}
 
 
 def _write_json(path: str | None, obj) -> None:
@@ -89,10 +94,12 @@ def cmd_clean(args) -> int:
 def cmd_dedup(args) -> int:
     docs = _load_docs(args.input, args.source)
     cfg = dedup_mod.DedupConfig.from_names(
-        threshold=args.threshold,
-        mode=args.mode,
-        comparison=args.comparison,
-        max_doc_words=args.max_words if args.max_words > 0 else None,
+        **_given(
+            threshold=args.threshold,
+            mode=args.mode,
+            comparison=args.comparison,
+            max_doc_words=args.max_words,
+        )
     )
     kept, reports = dedup_mod.dedup_documents(docs, cfg)
     if args.out:
@@ -117,7 +124,6 @@ def cmd_anonymize(args) -> int:
         gazetteer,
         name_wildcard=args.name_wildcard,
         date_wildcard=args.date_wildcard,
-        delete=args.delete,
     )
     corpus_mod.write_documents(args.out, out_docs)
     if args.report:
@@ -133,11 +139,11 @@ def cmd_anonymize(args) -> int:
 def cmd_vocab_build(args) -> int:
     docs = _load_docs(args.input, args.source)
     texts = [d.text for d in docs]
-    filtered, removed = subword_mod.filter_rare_chars(texts, args.min_char_freq)
+    filtered, removed = subword_mod.filter_rare_chars(
+        texts, **_given(min_char_freq=args.min_char_freq)
+    )
     config = subword_mod.VocabConfig(
-        min_char_freq=args.min_char_freq,
-        min_word_freq=args.min_word_freq,
-        vocab_size=args.vocab_size,
+        **_given(min_word_freq=args.min_word_freq, vocab_size=args.vocab_size)
     )
     vocab = subword_mod.build_vocab(filtered, config)
     vocab.save(args.out)
@@ -186,11 +192,7 @@ def cmd_bench_build(args) -> int:
         icd_as_category=not args.full_icd_codes,
     )
     spec = bench.SplitSpec(
-        n_train=args.sizes[0],
-        n_valid=args.sizes[1],
-        n_test=args.sizes[2],
-        seed=args.seed,
-        min_test_support=args.min_test_support,
+        *args.sizes, **_given(seed=args.seed, min_test_support=args.min_test_support)
     )
     bundle = bench.build_task(examples, spec, group_by_patient=not args.no_patient_grouping)
     bench.export_task(bundle, args.out_dir)
@@ -205,9 +207,7 @@ def cmd_bench_build(args) -> int:
 
 def cmd_bench_split(args) -> int:
     examples = bench.load_examples_jsonl(args.input)
-    spec = bench.SplitSpec(
-        n_train=args.sizes[0], n_valid=args.sizes[1], n_test=args.sizes[2], seed=args.seed
-    )
+    spec = bench.SplitSpec(*args.sizes, **_given(seed=args.seed))
     split = bench.stratified_split(
         examples, spec, group_by_patient=not args.no_patient_grouping
     )
@@ -227,10 +227,10 @@ def cmd_eval_clf(args) -> int:
     gold = bench.load_examples_jsonl(args.gold)
     preds = metrics_mod.load_classification_predictions(
         ((ex.doc_id, ex.labels) for ex in gold),
-        corpus_mod.read_jsonl(args.pred),
+        (row for _, row in corpus_mod.read_jsonl(args.pred)),
         labels=corpus_mod.read_lines(args.labels) if args.labels else None,
     )
-    report = metrics_mod.multilabel_report(preds, threshold=args.threshold)
+    report = metrics_mod.multilabel_report(preds, **_given(threshold=args.threshold))
     metrics_mod.write_report(report, args.report, args.tsv)
     m = report.macro
     auroc_part = f"{m.auroc:.2f}" if m.auroc is not None else "n/a"
@@ -249,20 +249,17 @@ def cmd_eval_ner(args) -> int:
             f"prediction count {len(rows)} does not match gold document count {len(gold)}"
         )
     pred_tags = []
-    token_scores = []
-    have_scores = all("scores" in r for r in rows) and rows
-    for row in rows:
-        tags = row.get("tags")
+    for line_no, row in rows:
+        tags = row.get("tags") if isinstance(row, dict) else None
         if not isinstance(tags, list):
-            raise ValueError("NER prediction row without 'tags' list")
+            raise ValueError(f"{args.pred}: line {line_no}: NER prediction row without 'tags' list")
         pred_tags.append([str(t) for t in tags])
-        if have_scores:
-            token_scores.append(row["scores"])
+    have_scores = rows and all("scores" in row for _, row in rows)
     report = metrics_mod.ner_token_report(
         [ex.tags for ex in gold],
         pred_tags,
         labels=corpus_mod.read_lines(args.labels) if args.labels else None,
-        token_scores=token_scores if have_scores else None,
+        token_scores=[row["scores"] for _, row in rows] if have_scores else None,
     )
     metrics_mod.write_report(report, args.report, args.tsv)
     assert report.micro is not None
@@ -279,10 +276,9 @@ def cmd_hpo_run(args) -> int:
         space,
         hpo_mod.command_objective(args.cmd),
         n_trials=args.trials,
-        seed=args.seed,
         n_startup_trials=args.startup_trials,
         study_path=args.study,
-        n_jobs=args.jobs,
+        **_given(seed=args.seed, n_jobs=args.jobs),
     )
     states = [t.state for t in study.trials]
     summary = {s: states.count(s) for s in sorted(set(states))}
@@ -323,12 +319,6 @@ def cmd_pipeline(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="medcorpus", description=__doc__)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="global cap on parallel workers (used by hpo run)",
-    )
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("ingest", help="load and normalize a JSONL corpus")
@@ -356,15 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dedup", help="remove near-duplicate documents within each source")
     p.add_argument("input")
     p.add_argument("--source")
-    p.add_argument("--threshold", type=float, default=0.75)
-    p.add_argument("--mode", choices=list(dedup_mod.MODES), default="representative")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--mode", choices=list(dedup_mod.MODES))
     p.add_argument(
-        "--comparison", choices=list(dedup_mod.COMPARISONS), default="strict",
+        "--comparison", choices=list(dedup_mod.COMPARISONS),
         help="strict: remove only above the threshold; inclusive: at or above",
     )
     p.add_argument(
-        "--max-words", type=int, default=0,
-        help="only documents this short participate; 0 (the default) disables the gate",
+        "--max-words", type=int,
+        help="only documents of at most this many words participate; absent, all do",
     )
     p.add_argument("--out")
     p.add_argument("--report")
@@ -377,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case-insensitive", action="store_true")
     p.add_argument("--name-wildcard", default=anon.NAME_WILDCARD)
     p.add_argument("--date-wildcard", default=anon.DATE_WILDCARD)
-    p.add_argument("--delete", action="store_true", help="delete matches instead of wildcards")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(handler=cmd_anonymize)
@@ -388,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("input")
     pb.add_argument("--source")
     pb.add_argument("--out", required=True)
-    pb.add_argument("--vocab-size", type=int, default=30000)
-    pb.add_argument("--min-word-freq", type=int, default=20)
-    pb.add_argument("--min-char-freq", type=int, default=3)
+    pb.add_argument("--vocab-size", type=int)
+    pb.add_argument("--min-word-freq", type=int)
+    pb.add_argument("--min-char-freq", type=int)
     pb.set_defaults(handler=cmd_vocab_build)
 
     p = sub.add_parser("tokenize", help="tokenize documents with a vocabulary")
@@ -421,21 +410,18 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--chapter", help="keep only codes with this prefix, e.g. 5-")
     pb.add_argument("--full-icd-codes", action="store_true",
                     help="keep full ICD codes instead of 3-character categories")
-    pb.add_argument("--sizes", type=int, nargs=3, default=[1000, 500, 500],
-                    metavar=("TRAIN", "VALID", "TEST"))
-    pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--min-test-support", type=int, default=10)
-    pb.add_argument("--no-patient-grouping", action="store_true")
-    pb.add_argument("--out-dir", required=True)
+    pb.add_argument("--min-test-support", type=int)
     pb.set_defaults(handler=cmd_bench_build)
     ps = bench_sub.add_parser("split", help="stratified split of labeled examples")
     ps.add_argument("input")
-    ps.add_argument("--sizes", type=int, nargs=3, default=[1000, 500, 500],
-                    metavar=("TRAIN", "VALID", "TEST"))
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--no-patient-grouping", action="store_true")
-    ps.add_argument("--out-dir", required=True)
     ps.set_defaults(handler=cmd_bench_split)
+    spec = bench.SplitSpec
+    for p in (pb, ps):
+        p.add_argument("--sizes", type=int, nargs=3, metavar=("TRAIN", "VALID", "TEST"),
+                       default=[spec.n_train, spec.n_valid, spec.n_test])
+        p.add_argument("--seed", type=int)
+        p.add_argument("--no-patient-grouping", action="store_true")
+        p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("eval", help="evaluate predictions")
     eval_sub = p.add_subparsers(dest="eval_command")
@@ -443,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--gold", required=True, help="gold examples JSONL")
     pc.add_argument("--pred", required=True, help="predictions JSONL with id and scores")
     pc.add_argument("--labels", help="label list file; default: observed labels")
-    pc.add_argument("--threshold", type=float, default=0.5)
+    pc.add_argument("--threshold", type=float)
     pc.add_argument("--report", help="JSON report path")
     pc.add_argument("--tsv", help="TSV report path")
     pc.set_defaults(handler=cmd_eval_clf)
@@ -461,9 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--space", required=True, help="search space JSON")
     ph.add_argument("--cmd", required=True, help="objective command")
     ph.add_argument("--trials", type=int, default=hpo_mod.DEFAULT_N_TRIALS)
-    ph.add_argument("--seed", type=int, default=0)
+    ph.add_argument("--seed", type=int)
     ph.add_argument("--startup-trials", type=int, default=hpo_mod.DEFAULT_N_STARTUP_TRIALS)
     ph.add_argument("--study", help="study JSON path, saved after every trial")
+    ph.add_argument("--jobs", type=int, help="trials run in parallel")
     ph.set_defaults(handler=cmd_hpo_run)
 
     p = sub.add_parser("pretrain-config", help="emit the fixed pretraining schedule")
@@ -489,8 +476,6 @@ def main(argv=None) -> int:
     if not hasattr(args, "handler"):
         parser.print_usage(sys.stderr)
         return 1
-    if args.command == "hpo" and getattr(args, "hpo_command", None) == "run":
-        args.jobs = max(1, args.jobs)
     try:
         return args.handler(args) or 0
     except (OSError, ValueError) as exc:

@@ -22,8 +22,6 @@ REJECT_TOO_SHORT = "too-short"
 REJECT_TOO_FEW_PAGES = "too-few-pages"
 REJECT_EMPTY_AFTER_FILTER = "empty-after-filter"
 
-DEFAULT_CHARS_PER_PAGE = 1800
-
 
 @dataclass
 class Document:
@@ -95,18 +93,19 @@ def load_documents(
 ) -> LoadResult:
     """Read a JSONL corpus file.
 
-    Malformed lines are reported in the result, never dropped silently.
-    ``source`` supplies the source kind for lines that do not carry one.
-    Ids are taken from the file or synthesized as ``<source>:<line-number>``;
-    a repeated id is an error for the later line. To apply that rule across
-    several files, pass the same ``seen_ids`` set to each call; it is updated
-    with the ids loaded.
+    The file is UTF-8, optionally with a byte order mark. Malformed lines
+    are reported in the result, never dropped silently. ``source``
+    supplies the source kind for lines that do not carry one. Ids are taken
+    from the file or synthesized as ``<source>:<line-number>``; a repeated
+    id is an error for the later line. To apply that rule across several
+    files, pass the same ``seen_ids`` set to each call; it is updated with
+    the ids loaded.
     """
     documents: list[Document] = []
     errors: list[LoadError] = []
     if seen_ids is None:
         seen_ids = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -197,15 +196,16 @@ def read_json(path: str | Path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def read_jsonl(path: str | Path) -> list:
-    """One JSON value per non-blank line; a malformed line raises a
-    ``ValueError`` that names the file and the line number."""
+def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
+    """One ``(line number, JSON value)`` pair per non-blank line, so that a
+    caller can name the line of a value of the wrong shape; a malformed line
+    raises a ``ValueError`` that names the file and the line number."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    rows.append(json.loads(line))
+                    rows.append((line_no, json.loads(line)))
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return rows
@@ -267,7 +267,7 @@ class CleanPolicy:
 
     min_chars: int = 0
     min_pages: int = 0
-    chars_per_page: int = DEFAULT_CHARS_PER_PAGE
+    chars_per_page: int = 1800
     stopword_sentence_filter: bool = False
     stopword_list: frozenset[str] = frozenset()
 
@@ -353,13 +353,13 @@ def reject_log_obj(rejects: Iterable[RejectRecord]) -> dict:
 
 def clean_corpus(
     docs: Sequence[Document],
-    policies: Mapping[str, CleanPolicy] | CleanPolicy | None = None,
+    policies: Mapping[str, CleanPolicy] | None = None,
 ) -> tuple[list[Document], list[RejectRecord]]:
     """Clean a corpus, choosing the policy by source kind.
 
-    ``policies`` may be a single policy for everything, a source->policy map
-    (unknown sources get a permissive default), or None for the presets.
-    Rejected documents land in the reject log with their reason.
+    ``policies`` maps a source to its policy (unknown sources get a
+    permissive default); None means the presets. Rejected documents land in
+    the reject log with their reason.
     """
     if policies is None:
         policies = policy_presets()
@@ -367,11 +367,7 @@ def clean_corpus(
     kept: list[Document] = []
     rejects: list[RejectRecord] = []
     for doc in docs:
-        if isinstance(policies, CleanPolicy):
-            policy = policies
-        else:
-            policy = policies.get(doc.source, permissive)
-        outcome = clean_document(doc, policy)
+        outcome = clean_document(doc, policies.get(doc.source, permissive))
         if outcome.kept:
             assert outcome.document is not None
             kept.append(outcome.document)

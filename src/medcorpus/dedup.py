@@ -143,13 +143,15 @@ class DedupConfig:
     @classmethod
     def from_names(
         cls,
-        threshold: float = 0.75,
+        # the field defaults above, bound while the class body runs
+        threshold: float = threshold,
         mode: str = "representative",
         comparison: str = "strict",
-        max_doc_words: int | None = None,
+        max_doc_words: int | None = max_doc_words,
     ) -> "DedupConfig":
         """Build a config from the user-facing names in :data:`MODES` and
-        :data:`COMPARISONS`."""
+        :data:`COMPARISONS`. The CLI and the pipeline pass only the settings
+        a user gave; the others take these defaults."""
         if mode not in MODES:
             raise ValueError(f"unknown dedup mode {mode!r}; expected one of {sorted(MODES)}")
         if comparison not in COMPARISONS:
@@ -286,7 +288,6 @@ def _representative_walk(
     participants: list[int],
     bypassed: set[int],
     candidates_for: Callable[[int], Iterable[int]] | None,
-    counter: list[int],
 ) -> DedupReport:
     """Shared greedy scan. ``candidates_for`` yields the kept indices worth
     verifying for one incoming index, already restricted to earlier docs;
@@ -295,6 +296,7 @@ def _representative_walk(
     kept: list[int] = []
     keep_order: dict[int, int] = {}
     members: dict[int, list[int]] = {}
+    pairs_examined = 0
     for i in participants:
         if candidates_for is None:
             check = kept
@@ -305,7 +307,7 @@ def _representative_walk(
             )
         target = None
         for j in check:
-            counter[0] += 1
+            pairs_examined += 1
             if exceeds(cosine_similarity(vectors[i], vectors[j])):
                 target = j
                 break
@@ -320,7 +322,7 @@ def _representative_walk(
         if j in members
     ]
     kept_indices = kept + sorted(bypassed)
-    return _finish_report(vectors, cfg, kept_indices, clusters, counter[0])
+    return _finish_report(vectors, cfg, kept_indices, clusters, pairs_examined)
 
 
 def _literal_drop(
@@ -329,15 +331,15 @@ def _literal_drop(
     participants: list[int],
     bypassed: set[int],
     pairs: Iterable[tuple[int, int]],
-    counter: list[int],
 ) -> DedupReport:
     """Remove every participant with at least one neighbor over the
     threshold; clusters are connected components of the neighbor graph."""
     exceeds = cfg.exceeds()
     uf = _UnionFind(len(vectors))
     removed: set[int] = set()
+    pairs_examined = 0
     for i, j in pairs:
-        counter[0] += 1
+        pairs_examined += 1
         if exceeds(cosine_similarity(vectors[i], vectors[j])):
             removed.add(i)
             removed.add(j)
@@ -350,22 +352,21 @@ def _literal_drop(
         for _, comp in sorted(components.items(), key=lambda kv: kv[1][0])
     ]
     kept_indices = [i for i in participants if i not in removed] + sorted(bypassed)
-    return _finish_report(vectors, cfg, kept_indices, clusters, counter[0])
+    return _finish_report(vectors, cfg, kept_indices, clusters, pairs_examined)
 
 
 def dedup_exact(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()) -> DedupReport:
     """Reference engine: every pair of participating documents is compared."""
     _validate_vectors(vectors)
     participants, bypassed = _split_participants(vectors, cfg)
-    counter = [0]
     if cfg.mode == MODE_REPRESENTATIVE:
-        return _representative_walk(vectors, cfg, participants, bypassed, None, counter)
+        return _representative_walk(vectors, cfg, participants, bypassed, None)
     pairs = (
         (participants[a], participants[b])
         for a in range(len(participants))
         for b in range(a + 1, len(participants))
     )
-    return _literal_drop(vectors, cfg, participants, bypassed, pairs, counter)
+    return _literal_drop(vectors, cfg, participants, bypassed, pairs)
 
 
 def _near_threshold_pairs(
@@ -461,13 +462,12 @@ def dedup_indexed(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()
     _validate_vectors(vectors)
     participants, bypassed = _split_participants(vectors, cfg)
     candidates = _near_threshold_pairs(vectors, participants, cfg)
-    counter = [0]
     if cfg.mode == MODE_REPRESENTATIVE:
         return _representative_walk(
-            vectors, cfg, participants, bypassed, lambda i: candidates.get(i, ()), counter
+            vectors, cfg, participants, bypassed, lambda i: candidates.get(i, ())
         )
     pairs = [(j, i) for i in participants for j in candidates.get(i, ())]
-    return _literal_drop(vectors, cfg, participants, bypassed, pairs, counter)
+    return _literal_drop(vectors, cfg, participants, bypassed, pairs)
 
 
 def dedup_documents(

@@ -36,6 +36,9 @@ STATE_FAILED = "failed"
 DEFAULT_N_TRIALS = 100
 DEFAULT_N_STARTUP_TRIALS = 5
 
+# every study maximizes; the study file still records it
+DIRECTION = "maximize"
+
 
 class TrialPruned(Exception):
     """Raised inside an objective when the engine decides to stop the trial."""
@@ -132,7 +135,6 @@ class Trial:
 
 @dataclass
 class Study:
-    direction: str = "maximize"
     n_trials: int = DEFAULT_N_TRIALS
     n_startup_trials: int = DEFAULT_N_STARTUP_TRIALS
     seed: int = 0
@@ -155,7 +157,7 @@ class Study:
 
     def to_obj(self) -> dict:
         return {
-            "direction": self.direction,
+            "direction": DIRECTION,
             "n_trials": self.n_trials,
             "n_startup_trials": self.n_startup_trials,
             "seed": self.seed,
@@ -168,9 +170,11 @@ class Study:
     @classmethod
     def load(cls, path: str | Path) -> "Study":
         obj = read_json(path)
-        study = cls(
-            obj["direction"], obj["n_trials"], obj["n_startup_trials"], obj["seed"]
-        )
+        if obj["direction"] != DIRECTION:
+            raise ValueError(
+                f"{path}: study direction {obj['direction']!r}; only {DIRECTION!r} is supported"
+            )
+        study = cls(obj["n_trials"], obj["n_startup_trials"], obj["seed"])
         study.trials = [Trial.from_obj(t) for t in obj["trials"]]
         return study
 

@@ -135,7 +135,7 @@ _CONFIG_KEYS = {
         "min_chars", "min_pages", "chars_per_page", "stopword_sentence_filter", "stopword_list",
     },
     "dedup": {"threshold", "mode", "comparison", "max_doc_words"},
-    "anonymize": {"gazetteer", "case_insensitive", "name_wildcard", "date_wildcard", "delete"},
+    "anonymize": {"gazetteer", "case_insensitive", "name_wildcard", "date_wildcard"},
     "stats": {"binary_mb"},
 }
 
@@ -151,18 +151,19 @@ def _checked(obj, part: str) -> dict:
 
 
 def _policy_from_obj(obj: dict) -> corpus_mod.CleanPolicy:
-    stopwords = _checked(obj, "clean policy").get("stopword_list")
-    use_filter = bool(obj.get("stopword_sentence_filter", False))
+    """The policy a config object describes; a threshold it leaves out keeps
+    its :class:`~medcorpus.corpus.CleanPolicy` default."""
+    thresholds = {
+        key: int(value)
+        for key, value in _checked(obj, "clean policy").items()
+        if key in ("min_chars", "min_pages", "chars_per_page")
+    }
+    use_filter = bool(obj.get("stopword_sentence_filter"))
+    stopwords = obj.get("stopword_list")
     if use_filter and stopwords is None:
-        stopword_set = corpus_mod.default_german_stopwords()
-    else:
-        stopword_set = frozenset(stopwords or ())
+        stopwords = corpus_mod.default_german_stopwords()
     return corpus_mod.CleanPolicy(
-        min_chars=int(obj.get("min_chars", 0)),
-        min_pages=int(obj.get("min_pages", 0)),
-        chars_per_page=int(obj.get("chars_per_page", corpus_mod.DEFAULT_CHARS_PER_PAGE)),
-        stopword_sentence_filter=use_filter,
-        stopword_list=stopword_set,
+        stopword_sentence_filter=use_filter, stopword_list=frozenset(stopwords or ()), **thresholds
     )
 
 
@@ -191,16 +192,10 @@ def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = "."
         for source, obj in policy_objs.items():
             policies[source] = _policy_from_obj(obj)
         dd_cfg_obj = _checked(config.get("dedup", {}), "dedup")
-        dd_cfg = dedup_mod.DedupConfig.from_names(
-            threshold=dd_cfg_obj.get("threshold", 0.75),
-            mode=dd_cfg_obj.get("mode", "representative"),
-            comparison=dd_cfg_obj.get("comparison", "strict"),
-            max_doc_words=dd_cfg_obj.get("max_doc_words"),
-        )
+        dd_cfg = dedup_mod.DedupConfig.from_names(**dd_cfg_obj)
         an_cfg = _checked(config.get("anonymize", {}), "anonymize")
-        name_wildcard = an_cfg.get("name_wildcard", anon.NAME_WILDCARD)
-        date_wildcard = an_cfg.get("date_wildcard", anon.DATE_WILDCARD)
-        if not isinstance(name_wildcard, str) or not isinstance(date_wildcard, str):
+        wildcards = {k: an_cfg[k] for k in ("name_wildcard", "date_wildcard") if k in an_cfg}
+        if not all(isinstance(w, str) for w in wildcards.values()):
             raise ValueError("name_wildcard and date_wildcard must be strings")
         gazetteer = None
         if an_cfg.get("gazetteer"):
@@ -263,13 +258,7 @@ def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = "."
         n_in=len(cleaned), details={src: r.n_removed for src, r in reports.items()},
     )
 
-    anonymized, anon_report = anon.anonymize_corpus(
-        deduped,
-        gazetteer,
-        name_wildcard=name_wildcard,
-        date_wildcard=date_wildcard,
-        delete=bool(an_cfg.get("delete", False)),
-    )
+    anonymized, anon_report = anon.anonymize_corpus(deduped, gazetteer, **wildcards)
     stage(
         "anonymize", an_cfg, ["deduped.jsonl"],
         "anonymized.jsonl", anonymized, "anonymization_report.json", anon_report.to_obj(),

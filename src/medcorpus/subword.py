@@ -16,11 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .corpus import read_lines, write_text
 
-DEFAULT_SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
+SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 UNK_TOKEN = "[UNK]"
 CONTINUATION_PREFIX = "##"
 
@@ -30,21 +30,17 @@ _MIN_PAIR_FREQ = 2
 
 @dataclass(frozen=True)
 class VocabConfig:
-    min_char_freq: int = 3
     min_word_freq: int = 20
     vocab_size: int = 30_000
-    special_tokens: tuple[str, ...] = DEFAULT_SPECIAL_TOKENS
-    continuation_prefix: str = CONTINUATION_PREFIX
+    # fixed for every vocabulary; readable here for code that holds a config
+    special_tokens: ClassVar[tuple[str, ...]] = SPECIAL_TOKENS
+    continuation_prefix: ClassVar[str] = CONTINUATION_PREFIX
 
     def __post_init__(self) -> None:
-        if self.min_char_freq < 0 or self.min_word_freq < 0:
-            raise ValueError("frequency floors must be >= 0")
-        if self.vocab_size <= len(self.special_tokens):
+        if self.min_word_freq < 0:
+            raise ValueError("min_word_freq must be >= 0")
+        if self.vocab_size <= len(SPECIAL_TOKENS):
             raise ValueError("vocab_size must exceed the number of special tokens")
-        if not self.continuation_prefix:
-            raise ValueError("continuation prefix must be non-empty")
-        if UNK_TOKEN not in self.special_tokens:
-            raise ValueError(f"special tokens must include {UNK_TOKEN}")
 
 
 def extract_words(text: str) -> list[str]:
@@ -77,6 +73,8 @@ def filter_rare_chars(
     glyphs, not document structure. Returns the filtered texts and the set
     of removed characters.
     """
+    if min_char_freq < 0:
+        raise ValueError("min_char_freq must be >= 0")
     char_counts: Counter[str] = Counter()
     for text in texts:
         char_counts.update(text)
@@ -101,7 +99,7 @@ class Vocabulary:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("vocabulary tokens must be unique")
         self._ids = {tok: i for i, tok in enumerate(self.tokens)}
-        prefix = self.config.continuation_prefix
+        prefix = CONTINUATION_PREFIX
         self._max_piece = max(
             (len(t) - (len(prefix) if t.startswith(prefix) else 0) for t in self.tokens),
             default=0,
@@ -121,8 +119,8 @@ class Vocabulary:
         write_text(path, (tok + "\n" for tok in self.tokens))
 
     @classmethod
-    def load(cls, path: str | Path, config: VocabConfig = VocabConfig()) -> "Vocabulary":
-        return cls(read_lines(path), config)
+    def load(cls, path: str | Path) -> "Vocabulary":
+        return cls(read_lines(path), VocabConfig())
 
 
 def _merge_step(
@@ -172,15 +170,15 @@ def build_vocab(texts: Sequence[str], config: VocabConfig = VocabConfig()) -> Vo
         word_freqs.update(extract_words(text))
     if not word_freqs:
         raise ValueError("corpus has no words")
-    prefix = config.continuation_prefix
+    prefix = CONTINUATION_PREFIX
     alphabet = sorted({ch for w in word_freqs for ch in w})
-    floor = len(config.special_tokens) + 2 * len(alphabet)
+    floor = len(SPECIAL_TOKENS) + 2 * len(alphabet)
     if config.vocab_size < floor:
         raise ValueError(
-            f"vocab_size {config.vocab_size} cannot hold {len(config.special_tokens)} "
+            f"vocab_size {config.vocab_size} cannot hold {len(SPECIAL_TOKENS)} "
             f"specials plus alphabet of {len(alphabet)} (needs >= {floor})"
         )
-    tokens: list[str] = list(config.special_tokens)
+    tokens: list[str] = list(SPECIAL_TOKENS)
     tokens.extend(alphabet)
     tokens.extend(prefix + ch for ch in alphabet)
     token_set = set(tokens)
@@ -226,7 +224,7 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
     single unknown id."""
     if not word:
         raise ValueError("cannot tokenize an empty word")
-    prefix = vocab.config.continuation_prefix
+    prefix = CONTINUATION_PREFIX
     ids: list[int] = []
     pos = 0
     while pos < len(word):

@@ -217,7 +217,7 @@ def test_read_lines_one_rule_for_list_files(tmp_path):
 def test_read_jsonl_skips_blank_lines_and_names_a_bad_line(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n[2]\n', encoding="utf-8")
-    assert read_jsonl(path) == [{"a": 1}, [2]]
+    assert read_jsonl(path) == [(1, {"a": 1}), (3, [2])]
     path.write_text('{"a": 1}\n\n{"a": \n', encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "):
         read_jsonl(path)
@@ -245,6 +245,15 @@ def test_load_documents_source_override(tmp_path):
     assert load_documents(path).errors  # no source anywhere
     result = load_documents(path, source="webcrawl")
     assert result.documents[0].source == "webcrawl"
+
+
+def test_load_documents_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "in.jsonl"
+    lines = [json.dumps({"id": i, "source": "ehr", "text": "Befund."}) for i in ("a", "b")]
+    path.write_bytes(("\ufeff" + "\n".join(lines) + "\n").encode("utf-8"))
+    result = load_documents(path)
+    assert [d.id for d in result.documents] == ["a", "b"]
+    assert result.errors == []
 
 
 def test_document_requires_id():
@@ -337,9 +346,10 @@ def test_clean_corpus_routes_by_source():
     assert [(r.doc_id, r.reason) for r in rejects] == [("r1", REJECT_TOO_SHORT)]
 
 
-def test_clean_corpus_single_policy_applies_everywhere():
+def test_clean_corpus_same_policy_for_each_source():
     docs = [make_doc("ab", source="wiki", doc_id="a"), make_doc("abcdef", source="ehr", doc_id="b")]
-    kept, rejects = clean_corpus(docs, CleanPolicy(min_chars=5))
+    policy = CleanPolicy(min_chars=5)
+    kept, rejects = clean_corpus(docs, {"wiki": policy, "ehr": policy})
     assert [d.id for d in kept] == ["b"]
     assert rejects[0].doc_id == "a"
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import pytest
@@ -289,6 +290,14 @@ def test_run_study_records_failures():
     study = run_study(SearchSpace(batch_sizes=(8, 16)), flaky, n_trials=12, seed=0)
     states = {t.state for t in study.trials}
     assert "failed" in states and "complete" in states
+
+
+def test_study_load_rejects_other_direction(tmp_path):
+    path = tmp_path / "study.json"
+    five_finished_study().save(path)
+    path.write_text(path.read_text().replace('"maximize"', '"minimize"'))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*'minimize'"):
+        Study.load(path)
 
 
 def test_run_study_rejects_bad_n_jobs():

@@ -238,6 +238,8 @@ def test_pipeline_readme_config_runs(tmp_path, capsys):
         {"inputs": "corpus.jsonl"},
         {"inputs": [{"source": "ehr"}]},
         {"anonymize": {"name_wildcard": 1}},
+        # removed keys: empty wildcards delete
+        {"anonymize": {"delete": True}},
     ],
 )
 def test_pipeline_bad_config_writes_no_artifact(tmp_path, capsys, change):
@@ -278,6 +280,19 @@ def test_cli_dedup_matches_pipeline(tmp_path, capsys):
     assert cli_ids == [d["id"] for d in read_jsonl(out_dir / "deduped.jsonl")]
     assert cli_ids == ["d1", "s1", "e1", "e2"]
     assert report.read_bytes() == (out_dir / "dedup_report.json").read_bytes()
+
+
+def test_max_words_zero_is_rejected_by_cli_and_pipeline(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    write_jsonl(corpus, [{"id": "d1", "source": "ehr", "text": "kurzer text"}])
+    assert cli.main(["dedup", str(corpus), "--max-words", "0"]) == 2
+    cli_err = capsys.readouterr().err
+    code, _ = run_cli_pipeline(
+        tmp_path, {"inputs": [{"path": "c.jsonl"}], "dedup": {"max_doc_words": 0}}
+    )
+    assert code == 2
+    assert cli_err == capsys.readouterr().err
+    assert "max_doc_words must be positive" in cli_err
 
 
 def test_pipeline_manifest_hash_tracks_config(tmp_path):
@@ -581,6 +596,48 @@ def test_cli_eval_clf_malformed_gold_line_names_file_and_line(tmp_path, capsys):
     assert f"{gold_path}: line 2:" in capsys.readouterr().err
 
 
+BAD_GOLD_ROWS = [
+    {"id": "d2", "text": "t"},
+    ["d2", "t", ["A"]],
+    {"id": 2, "text": "t", "labels": ["A"]},
+    {"id": "d2", "text": None, "labels": ["A"]},
+    {"id": "d2", "text": "t", "labels": "A"},
+    {"id": "d2", "text": "t", "labels": [["A"]]},
+    {"id": "d2", "text": "t", "labels": []},
+    {"id": "d2", "text": "t", "labels": ["A"], "patient_ref": 7},
+]
+
+
+def write_gold_with_bad_row(path, bad_row):
+    """A valid row, a blank line, then ``bad_row`` on line 3."""
+    good = {"id": "d1", "text": "t", "labels": ["A"], "patient_ref": "p1"}
+    path.write_text(f"{json.dumps(good)}\n\n{json.dumps(bad_row)}\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("bad_row", BAD_GOLD_ROWS)
+def test_cli_eval_clf_gold_row_of_wrong_shape_names_file_and_line(tmp_path, capsys, bad_row):
+    gold_path = tmp_path / "gold.jsonl"
+    write_gold_with_bad_row(gold_path, bad_row)
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(pred_path, [{"id": "d1", "scores": {"A": 0.9}}])
+    code = cli.main(["eval", "clf", "--gold", str(gold_path), "--pred", str(pred_path)])
+    assert code == 2
+    assert f"error: {gold_path}: line 3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", BAD_GOLD_ROWS)
+def test_cli_bench_split_row_of_wrong_shape_names_file_and_line(tmp_path, capsys, bad_row):
+    path = tmp_path / "ex.jsonl"
+    write_gold_with_bad_row(path, bad_row)
+    out_dir = tmp_path / "split"
+    code = cli.main(
+        ["bench", "split", str(path), "--sizes", "1", "0", "0", "--out-dir", str(out_dir)]
+    )
+    assert code == 2
+    assert f"error: {path}: line 3: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_eval_ner(tmp_path, capsys):
     gold_path = tmp_path / "gold.conll"
     write_conll(
@@ -616,6 +673,18 @@ def test_cli_eval_ner_count_mismatch(tmp_path, capsys):
     assert cli.main(["eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path)]) == 2
 
 
+@pytest.mark.parametrize("bad_row", [["O"], 5, {"tags": "O"}, {"id": "a"}])
+def test_cli_eval_ner_prediction_row_of_wrong_shape_names_file_and_line(
+    tmp_path, capsys, bad_row
+):
+    gold_path = tmp_path / "gold.conll"
+    write_conll(gold_path, [TokenLabeledExample("a", ["x"], ["O"])])
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text(f"\n{json.dumps(bad_row)}\n", encoding="utf-8")
+    assert cli.main(["eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path)]) == 2
+    assert f"error: {pred_path}: line 2: " in capsys.readouterr().err
+
+
 def test_cli_hpo_run(tmp_path, capsys):
     space_path = tmp_path / "space.json"
     space_path.write_text(
@@ -647,6 +716,24 @@ def test_cli_hpo_run(tmp_path, capsys):
     study = json.loads(study_path.read_text())
     assert len(study["trials"]) == 4
     assert "best trial" in capsys.readouterr().out
+
+
+def hpo_run_argv(tmp_path):
+    space_path = tmp_path / "space.json"
+    space_path.write_text("{}")
+    script = tmp_path / "obj.py"
+    script.write_text("print('final=1.0')\n")
+    return ["hpo", "run", "--space", str(space_path), "--cmd", f"python3 {script}", "--trials", "1"]
+
+
+def test_cli_hpo_run_jobs_zero_is_a_data_error(tmp_path, capsys):
+    assert cli.main(hpo_run_argv(tmp_path) + ["--jobs", "0"]) == 2
+    assert "n_jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_jobs_before_the_command_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["--jobs", "2"] + hpo_run_argv(tmp_path)) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_cli_pretrain_config(tmp_path, capsys):

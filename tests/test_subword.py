@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from medcorpus import synth
 from medcorpus.subword import (
-    DEFAULT_SPECIAL_TOKENS,
+    SPECIAL_TOKENS,
     UNK_TOKEN,
     VocabConfig,
     Vocabulary,
@@ -17,7 +17,7 @@ from medcorpus.subword import (
 
 
 def hand_vocab(*extra):
-    tokens = list(DEFAULT_SPECIAL_TOKENS) + list(extra)
+    tokens = list(SPECIAL_TOKENS) + list(extra)
     return Vocabulary(tokens, VocabConfig())
 
 
@@ -61,6 +61,11 @@ def test_filter_rare_chars_identity_when_all_frequent():
     filtered, removed = filter_rare_chars(texts)
     assert filtered == texts
     assert removed == set()
+
+
+def test_filter_rejects_negative_floor():
+    with pytest.raises(ValueError, match="min_char_freq"):
+        filter_rare_chars(["abc"], min_char_freq=-1)
 
 
 def test_filter_counts_across_whole_corpus():
@@ -163,7 +168,7 @@ def test_vocab_determinism_and_save_roundtrip(tmp_path):
     v1.save(p1)
     v2.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
-    loaded = Vocabulary.load(p1, cfg)
+    loaded = Vocabulary.load(p1)
     assert loaded.tokens == v1.tokens
 
 
