@@ -58,23 +58,26 @@ class CodeRecord:
             raise ValueError(f"unknown code system {self.system!r}")
 
 
+_CODE_COLUMNS = ("patient_ref", "code", "system", "date")
+
+
 def load_code_records(path: str | Path) -> list[CodeRecord]:
-    """Read a codes CSV with columns patient_ref, code, system, date."""
+    """Read a codes CSV (UTF-8 with an optional byte order mark) whose header
+    names the columns patient_ref, code, system and date, in any order. A
+    row of another shape is a ``ValueError`` that names the file and line."""
     records: list[CodeRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        required = {"patient_ref", "code", "system", "date"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"codes CSV must have columns {sorted(required)}")
-        for row in reader:
-            records.append(
-                CodeRecord(
-                    row["patient_ref"],
-                    row["code"],
-                    row["system"],
-                    _date.fromisoformat(row["date"]),
-                )
-            )
+        try:
+            if reader.fieldnames is None or not set(_CODE_COLUMNS).issubset(reader.fieldnames):
+                raise ValueError(f"the header must name the columns {list(_CODE_COLUMNS)}")
+            for row in reader:
+                values = [row[key] for key in _CODE_COLUMNS]
+                if None in values:
+                    raise ValueError("row has fewer fields than the header")
+                records.append(CodeRecord(*values[:3], _date.fromisoformat(values[3])))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
 
 
@@ -352,17 +355,12 @@ def _restrict(ex: LabeledExample, keep: set[str]) -> LabeledExample:
 # --- exports ---------------------------------------------------------------
 
 
-def write_examples_jsonl(
-    path: str | Path, examples: Iterable[LabeledExample], include_patient_ref: bool = False
-) -> None:
-    def rows():
-        for ex in examples:
-            obj = {"id": ex.doc_id, "text": ex.text, "labels": sorted(ex.labels)}
-            if include_patient_ref and ex.patient_ref is not None:
-                obj["patient_ref"] = ex.patient_ref
-            yield obj
-
-    write_jsonl(path, rows())
+def write_examples_jsonl(path: str | Path, examples: Iterable[LabeledExample]) -> None:
+    """One row per example with its id, text and sorted labels; the patient
+    reference stays out of the exported splits."""
+    write_jsonl(
+        path, ({"id": ex.doc_id, "text": ex.text, "labels": sorted(ex.labels)} for ex in examples)
+    )
 
 
 def _example_from_obj(obj: object) -> LabeledExample:
@@ -383,13 +381,7 @@ def _example_from_obj(obj: object) -> LabeledExample:
 def load_examples_jsonl(path: str | Path) -> list[LabeledExample]:
     """Examples as :func:`write_examples_jsonl` writes them; a row of another
     shape is a ``ValueError`` that names the file and the line."""
-    examples = []
-    for line_no, obj in read_jsonl(path):
-        try:
-            examples.append(_example_from_obj(obj))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
-    return examples
+    return read_jsonl(path, _example_from_obj)
 
 
 def write_conll(path: str | Path, examples: Iterable[TokenLabeledExample]) -> None:

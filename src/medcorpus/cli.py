@@ -227,7 +227,7 @@ def cmd_eval_clf(args) -> int:
     gold = bench.load_examples_jsonl(args.gold)
     preds = metrics_mod.load_classification_predictions(
         ((ex.doc_id, ex.labels) for ex in gold),
-        (row for _, row in corpus_mod.read_jsonl(args.pred)),
+        corpus_mod.read_jsonl(args.pred, metrics_mod.prediction_scores),
         labels=corpus_mod.read_lines(args.labels) if args.labels else None,
     )
     report = metrics_mod.multilabel_report(preds, **_given(threshold=args.threshold))
@@ -243,23 +243,17 @@ def cmd_eval_clf(args) -> int:
 
 def cmd_eval_ner(args) -> int:
     gold = bench.load_conll(args.gold)
-    rows = corpus_mod.read_jsonl(args.pred)
+    rows = corpus_mod.read_jsonl(args.pred, metrics_mod.ner_prediction)
     if len(rows) != len(gold):
         raise ValueError(
             f"prediction count {len(rows)} does not match gold document count {len(gold)}"
         )
-    pred_tags = []
-    for line_no, row in rows:
-        tags = row.get("tags") if isinstance(row, dict) else None
-        if not isinstance(tags, list):
-            raise ValueError(f"{args.pred}: line {line_no}: NER prediction row without 'tags' list")
-        pred_tags.append([str(t) for t in tags])
-    have_scores = rows and all("scores" in row for _, row in rows)
+    have_scores = rows and all(scores is not None for _, scores in rows)
     report = metrics_mod.ner_token_report(
         [ex.tags for ex in gold],
-        pred_tags,
+        [tags for tags, _ in rows],
         labels=corpus_mod.read_lines(args.labels) if args.labels else None,
-        token_scores=[row["scores"] for _, row in rows] if have_scores else None,
+        token_scores=[scores for _, scores in rows] if have_scores else None,
     )
     metrics_mod.write_report(report, args.report, args.tsv)
     assert report.micro is not None

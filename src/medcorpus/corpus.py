@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from datetime import date as _date
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 SENTENCE_TERMINATORS = ".!?;"
 
@@ -112,7 +112,7 @@ def load_documents(
             try:
                 obj = json.loads(line)
                 doc = _document_from_obj(obj, source, line_no)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 errors.append(LoadError(line_no, str(exc)))
                 continue
             if doc.id in seen_ids:
@@ -192,21 +192,32 @@ def read_json(path: str | Path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def read_jsonl(path: str | Path) -> list[tuple[int, object]]:
-    """One ``(line number, JSON value)`` pair per non-blank line, so that a
-    caller can name the line of a value of the wrong shape; a malformed line
-    raises a ``ValueError`` that names the file and the line number."""
+def checked_object(obj: object, part: str, keys: Collection[str]) -> dict:
+    """``obj`` if it is a JSON object holding only ``keys``; otherwise a
+    ``ValueError`` that names ``part`` and the first unknown key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{part} must be a JSON object, not {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {part}; known: {sorted(keys)}")
+    return obj
+
+
+def read_jsonl(path: str | Path, parse: Callable[[object], object]) -> list:
+    """``parse`` of the JSON value on each non-blank line. A malformed line,
+    or a value ``parse`` rejects with a ``ValueError``, raises a
+    ``ValueError`` that names the file and the line number."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    rows.append((line_no, json.loads(line)))
-                except ValueError as exc:
+                    rows.append(parse(json.loads(line)))
+                except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return rows
 
@@ -393,14 +404,6 @@ class SourceStats:
         self.n_words += count_words(doc.text)
         self.size_bytes += len(doc.text.encode("utf-8"))
 
-    def merged(self, other: "SourceStats") -> "SourceStats":
-        return SourceStats(
-            self.n_documents + other.n_documents,
-            self.n_sentences + other.n_sentences,
-            self.n_words + other.n_words,
-            self.size_bytes + other.size_bytes,
-        )
-
 
 @dataclass
 class CorpusStats:
@@ -408,10 +411,8 @@ class CorpusStats:
 
     @property
     def total(self) -> SourceStats:
-        total = SourceStats()
-        for stats in self.per_source.values():
-            total = total.merged(stats)
-        return total
+        """The field-by-field sum over all sources."""
+        return SourceStats(*map(sum, zip(*map(astuple, self.per_source.values()))))
 
 
 def compute_corpus_stats(docs: Iterable[Document]) -> CorpusStats:
@@ -435,30 +436,20 @@ def stats_to_tsv(stats: CorpusStats, mb_base: int = MB_DECIMAL) -> str:
     Size (MB) is bytes divided by ``mb_base`` (decimal megabytes by default,
     pass MB_BINARY for mebibytes), rounded to an integer.
     """
+    rows = [*sorted(stats.per_source.items()), ("Summary", stats.total)]
     lines = ["Source\tNo. Documents\tNo. Sentences\tNo. Words\tSize (MB)"]
-    for source in sorted(stats.per_source):
-        s = stats.per_source[source]
-        lines.append(
-            f"{source}\t{s.n_documents}\t{s.n_sentences}\t{s.n_words}\t{_size_mb(s.size_bytes, mb_base)}"
-        )
-    t = stats.total
-    lines.append(
-        f"Summary\t{t.n_documents}\t{t.n_sentences}\t{t.n_words}\t{_size_mb(t.size_bytes, mb_base)}"
-    )
+    lines += [
+        f"{name}\t{s.n_documents}\t{s.n_sentences}\t{s.n_words}\t{_size_mb(s.size_bytes, mb_base)}"
+        for name, s in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
 def stats_to_obj(stats: CorpusStats, mb_base: int = MB_DECIMAL) -> dict:
     def one(s: SourceStats) -> dict:
-        return {
-            "n_documents": s.n_documents,
-            "n_sentences": s.n_sentences,
-            "n_words": s.n_words,
-            "size_bytes": s.size_bytes,
-            "size_mb": _size_mb(s.size_bytes, mb_base),
-        }
+        return {**asdict(s), "size_mb": _size_mb(s.size_bytes, mb_base)}
 
     return {
-        "per_source": {src: one(stats.per_source[src]) for src in sorted(stats.per_source)},
+        "per_source": {src: one(s) for src, s in stats.per_source.items()},
         "total": one(stats.total),
     }

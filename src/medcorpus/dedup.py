@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -200,19 +200,9 @@ class DedupReport:
         return removed
 
     def to_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "n_input": self.n_input,
-            "n_kept": self.n_kept,
-            "n_removed": self.n_removed,
-            "pairs_examined": self.pairs_examined,
-            "clusters": [
-                {"representative": c.representative, "members": list(c.members)}
-                for c in self.clusters
-            ],
-        }
+        obj = asdict(self)
+        del obj["kept_ids"]
+        return obj
 
 
 def _validate_vectors(vectors: Sequence[BowVector]) -> None:

@@ -22,11 +22,11 @@ import statistics
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .corpus import read_json, write_json
+from .corpus import checked_object, read_json, write_json
 
 STATE_RUNNING = "running"
 STATE_PRUNED = "pruned"
@@ -38,6 +38,14 @@ DEFAULT_N_STARTUP_TRIALS = 5
 
 # every study maximizes; the study file still records it
 DIRECTION = "maximize"
+
+
+# the keys of a search-space file and the shape of each value
+_SPACE_SHAPES = {
+    "learning_rate": "a [low, high] list of numbers",
+    "batch_size": "a non-empty list of integers",
+    "warmup_steps": "a [low, high] list of integers",
+}
 
 
 class TrialPruned(Exception):
@@ -61,14 +69,25 @@ class SearchSpace:
             raise ValueError("warmup range must satisfy 0 <= low <= high")
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "SearchSpace":
+    def from_obj(cls, obj: object) -> "SearchSpace":
+        """The space a search-space JSON object describes. A key it leaves
+        out keeps its default; an unknown key or a value of the wrong shape
+        is a ``ValueError``."""
+        for key, value in checked_object(obj, "search space", _SPACE_SHAPES).items():
+            kinds = (int, float) if key == "learning_rate" else int
+            if not (
+                isinstance(value, list)
+                and (len(value) > 0 if key == "batch_size" else len(value) == 2)
+                and all(isinstance(x, kinds) and not isinstance(x, bool) for x in value)
+            ):
+                raise ValueError(f"search space {key!r} must be {_SPACE_SHAPES[key]}, not {value!r}")
         kwargs = {}
         if "learning_rate" in obj:
             kwargs["lr_low"], kwargs["lr_high"] = (float(x) for x in obj["learning_rate"])
         if "batch_size" in obj:
-            kwargs["batch_sizes"] = tuple(int(x) for x in obj["batch_size"])
+            kwargs["batch_sizes"] = tuple(obj["batch_size"])
         if "warmup_steps" in obj:
-            kwargs["warmup_low"], kwargs["warmup_high"] = (int(x) for x in obj["warmup_steps"])
+            kwargs["warmup_low"], kwargs["warmup_high"] = obj["warmup_steps"]
         return cls(**kwargs)
 
 
@@ -79,11 +98,7 @@ class Params:
     warmup_steps: int
 
     def to_obj(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "warmup_steps": self.warmup_steps,
-        }
+        return asdict(self)
 
 
 def sample_params(space: SearchSpace, rng: random.Random) -> Params:

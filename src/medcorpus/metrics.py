@@ -8,7 +8,7 @@ percent-scaled values and are rendered with two decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -54,7 +54,8 @@ def prf(predictions: Sequence[bool], truths: Sequence[bool]) -> tuple[float, flo
     """
     if len(predictions) != len(truths):
         raise ValueError("predictions and truths must be parallel")
-    return _prf_from_counts(*_confusion(predictions, truths))
+    counts = _confusion(predictions, truths)
+    return tuple(0.0 if v is None else v / 100.0 for v in _class_prf(*counts))
 
 
 def _confusion(predictions: Iterable[bool], truths: Iterable[bool]) -> tuple[int, int, int]:
@@ -68,13 +69,6 @@ def _confusion(predictions: Iterable[bool], truths: Iterable[bool]) -> tuple[int
         elif t:
             fn += 1
     return tp, fp, fn
-
-
-def _prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
 
 
 def _class_prf(tp: int, fp: int, fn: int) -> tuple[float | None, float | None, float | None]:
@@ -117,23 +111,9 @@ class MetricReport:
     excluded: dict[str, list[str]] = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        def row(m: ClassMetrics) -> dict:
-            return {
-                "auroc": m.auroc,
-                "f1": m.f1,
-                "precision": m.precision,
-                "recall": m.recall,
-                "support": m.support,
-            }
-
-        obj = {
-            "classes": list(self.classes),
-            "per_class": {c: row(self.per_class[c]) for c in self.classes},
-            "macro": row(self.macro),
-            "excluded": {k: list(v) for k, v in sorted(self.excluded.items())},
-        }
-        if self.micro is not None:
-            obj["micro"] = row(self.micro)
+        obj = asdict(self)
+        if self.micro is None:
+            del obj["micro"]
         return obj
 
 
@@ -263,12 +243,14 @@ def ner_token_report(
                 area = None
         values[cls] = (area, *_class_prf(tp, fp, fn))
         supports[cls] = sum(1 for g in flat_gold if g == cls)
-    micro_p, micro_r, micro_f = _prf_from_counts(total_tp, total_fp, total_fn)
+    micro_p, micro_r, micro_f = (
+        0.0 if v is None else v for v in _class_prf(total_tp, total_fp, total_fn)
+    )
     micro = ClassMetrics(
         auroc=None,
-        f1=micro_f * 100.0,
-        precision=micro_p * 100.0,
-        recall=micro_r * 100.0,
+        f1=micro_f,
+        precision=micro_p,
+        recall=micro_r,
         support=sum(1 for g in flat_gold if g is not None),
     )
     per_class, macro, excluded = _summarize(values, supports, micro.support)
@@ -287,19 +269,15 @@ def _fmt(value: float | None) -> str:
 def render_report_tsv(report: MetricReport) -> str:
     """Tab-separated table: Class, AUROC, F1, Precision, Recall. Percent
     values with two decimals; a Macro row and, when present, a Global row."""
-    lines = ["Class\tAUROC\tF1\tPrecision\tRecall"]
-    for cls in report.classes:
-        m = report.per_class[cls]
-        lines.append(
-            f"{cls}\t{_fmt(m.auroc)}\t{_fmt(m.f1)}\t{_fmt(m.precision)}\t{_fmt(m.recall)}"
-        )
-    m = report.macro
-    lines.append(f"Macro\t{_fmt(m.auroc)}\t{_fmt(m.f1)}\t{_fmt(m.precision)}\t{_fmt(m.recall)}")
+    rows = [(cls, report.per_class[cls]) for cls in report.classes]
+    rows.append(("Macro", report.macro))
     if report.micro is not None:
-        m = report.micro
-        lines.append(
-            f"Global\t{_fmt(m.auroc)}\t{_fmt(m.f1)}\t{_fmt(m.precision)}\t{_fmt(m.recall)}"
-        )
+        rows.append(("Global", report.micro))
+    lines = ["Class\tAUROC\tF1\tPrecision\tRecall"]
+    lines += [
+        f"{name}\t{_fmt(m.auroc)}\t{_fmt(m.f1)}\t{_fmt(m.precision)}\t{_fmt(m.recall)}"
+        for name, m in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -310,26 +288,49 @@ def write_report(report: MetricReport, json_path=None, tsv_path=None) -> None:
         write_text(tsv_path, [render_report_tsv(report)])
 
 
+def _is_score_map(obj: object) -> bool:
+    return isinstance(obj, Mapping) and all(isinstance(v, (int, float)) for v in obj.values())
+
+
+def prediction_scores(row: object) -> tuple[str, Mapping[str, float]]:
+    """The id and the score map of one classification prediction row: an
+    object with a string ``id`` and a ``scores`` object of numbers. A row of
+    another shape is a ``ValueError``."""
+    doc_id = row.get("id") if isinstance(row, Mapping) else None
+    if not isinstance(doc_id, str):
+        raise ValueError("prediction row is not an object with a string 'id'")
+    if not _is_score_map(row.get("scores")):
+        raise ValueError(f"prediction row {doc_id!r} without a 'scores' object of numbers")
+    return doc_id, row["scores"]
+
+
+def ner_prediction(row: object) -> tuple[list[str], list[Mapping[str, float]] | None]:
+    """The tags and, when given, the per-token score maps of one NER
+    prediction row: an object with a ``tags`` list and an optional
+    ``scores`` list of objects of numbers. A row of another shape is a
+    ``ValueError``."""
+    tags = row.get("tags") if isinstance(row, Mapping) else None
+    if not isinstance(tags, list):
+        raise ValueError("NER prediction row without 'tags' list")
+    scores = row.get("scores")
+    if scores is not None and not (
+        isinstance(scores, list) and all(_is_score_map(sc) for sc in scores)
+    ):
+        raise ValueError("NER prediction 'scores' must be a list of objects of numbers")
+    return [str(t) for t in tags], scores
+
+
 def load_classification_predictions(
     gold_examples: Iterable[tuple[str, set[str]]],
-    prediction_rows: Iterable[Mapping],
+    predictions: Iterable[tuple[str, Mapping[str, float]]],
     labels: Sequence[str] | None = None,
 ) -> ScoredPredictions:
-    """Join gold label sets with prediction score rows by document id.
-
-    ``prediction_rows`` are objects with an ``id`` and a ``scores`` map.
-    Instances without a prediction row score 0.0 for every class.
+    """Join gold ``(id, label set)`` pairs with prediction ``(id, score
+    map)`` pairs, as :func:`prediction_scores` reads them, by document id.
+    Instances without a prediction score 0.0 for every class.
     """
     gold = {doc_id: label_set for doc_id, label_set in gold_examples}
-    scores_by_id: dict[str, Mapping[str, float]] = {}
-    for row in prediction_rows:
-        doc_id = row.get("id")
-        if not isinstance(doc_id, str):
-            raise ValueError("prediction row without string 'id'")
-        sc = row.get("scores")
-        if not isinstance(sc, Mapping):
-            raise ValueError(f"prediction row {doc_id!r} without 'scores' object")
-        scores_by_id[doc_id] = sc
+    scores_by_id = dict(predictions)
     unknown = set(scores_by_id) - set(gold)
     if unknown:
         raise ValueError(f"predictions for unknown ids: {sorted(unknown)[:5]}")

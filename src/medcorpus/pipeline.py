@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import anonymize as anon
@@ -37,18 +37,9 @@ class PretrainConfig:
     warning: str | None = None
 
     def to_obj(self) -> dict:
-        obj = {
-            "phase": self.phase,
-            "seq_len": self.seq_len,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "warmup_steps": self.warmup_steps,
-            "total_steps": self.total_steps,
-            "optimizer": self.optimizer,
-            "lr_schedule": self.lr_schedule,
-        }
-        if self.warning is not None:
-            obj["warning"] = self.warning
+        obj = asdict(self)
+        if self.warning is None:
+            del obj["warning"]
         return obj
 
 
@@ -97,24 +88,13 @@ class StageRecord:
     n_out: int
     details: dict = field(default_factory=dict)
 
-    def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "config_hash": self.config_hash,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "n_in": self.n_in,
-            "n_out": self.n_out,
-            "details": self.details,
-        }
-
 
 @dataclass
 class PipelineManifest:
     stages: list[StageRecord] = field(default_factory=list)
 
     def to_obj(self) -> dict:
-        return {"stages": [s.to_obj() for s in self.stages]}
+        return asdict(self)
 
     def save(self, path: str | Path) -> None:
         corpus_mod.write_json(path, self.to_obj())
@@ -141,13 +121,7 @@ _CONFIG_KEYS = {
 
 
 def _checked(obj, part: str) -> dict:
-    """``obj`` if it is an object holding only the keys known for ``part``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{part} must be a JSON object, not {type(obj).__name__}")
-    for key in obj:
-        if key not in _CONFIG_KEYS[part]:
-            raise ValueError(f"unknown key {key!r} in {part}; known: {sorted(_CONFIG_KEYS[part])}")
-    return obj
+    return corpus_mod.checked_object(obj, part, _CONFIG_KEYS[part])
 
 
 def _policy_from_obj(obj: dict) -> corpus_mod.CleanPolicy:
@@ -170,11 +144,12 @@ def _policy_from_obj(obj: dict) -> corpus_mod.CleanPolicy:
 def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = ".") -> PipelineManifest:
     """Run ingest, clean, dedup, anonymize, stats on the configured inputs.
 
-    The whole config, including the gazetteer file, is checked before the
-    first artifact is written: an unknown key or a value of the wrong type
-    is a ``ValueError``. Relative input paths are resolved against
-    ``config_dir``; the manifest stores them as written in the config so
-    that reruns into different output directories stay comparable.
+    The whole config, including the gazetteer file, is checked and every
+    input file is read before the first artifact is written: an unknown key
+    or a value of the wrong type is a ``ValueError``. Relative input paths
+    are resolved against ``config_dir``; the manifest stores them as written
+    in the config so that reruns into different output directories stay
+    comparable.
     """
     base = Path(config_dir)
     try:
@@ -207,6 +182,18 @@ def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = "."
     except TypeError as exc:
         raise ValueError(f"bad value in pipeline config: {exc}") from None
 
+    # ingest; an id is unique across all inputs, a repeat is a load error
+    docs: list[corpus_mod.Document] = []
+    load_errors: list[dict] = []
+    seen_ids: set[str] = set()
+    for entry in inputs:
+        path = entry["path"]
+        result = corpus_mod.load_documents(base / path, entry.get("source"), seen_ids)
+        docs.extend(result.documents)
+        load_errors.extend(
+            {"path": path, "line": e.line_no, "message": e.message} for e in result.errors
+        )
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = PipelineManifest()
@@ -226,17 +213,6 @@ def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = "."
             )
         )
 
-    # ingest; an id is unique across all inputs, a repeat is a load error
-    docs: list[corpus_mod.Document] = []
-    load_errors: list[dict] = []
-    seen_ids: set[str] = set()
-    for entry in inputs:
-        path = entry["path"]
-        result = corpus_mod.load_documents(base / path, entry.get("source"), seen_ids)
-        docs.extend(result.documents)
-        load_errors.extend(
-            {"path": path, "line": e.line_no, "message": e.message} for e in result.errors
-        )
     stage(
         "ingest", inputs, [e["path"] for e in inputs],
         "ingested.jsonl", docs, "load_report.json", {"errors": load_errors},

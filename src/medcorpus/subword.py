@@ -99,6 +99,8 @@ class Vocabulary:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("vocabulary tokens must be unique")
         self._ids = {tok: i for i, tok in enumerate(self.tokens)}
+        if UNK_TOKEN not in self._ids:
+            raise ValueError(f"vocabulary has no {UNK_TOKEN} token")
         prefix = CONTINUATION_PREFIX
         self._max_piece = max(
             (len(t) - (len(prefix) if t.startswith(prefix) else 0) for t in self.tokens),

@@ -1,5 +1,6 @@
 import datetime
 import random
+import re
 
 import pytest
 
@@ -25,7 +26,7 @@ from medcorpus.benchmark import (
     write_conll,
     write_examples_jsonl,
 )
-from medcorpus.corpus import Document
+from medcorpus.corpus import Document, write_jsonl
 
 D = datetime.date
 
@@ -68,6 +69,19 @@ def test_load_code_records_missing_column(tmp_path):
     path.write_text("patient_ref,code,system\np1,I21.0,icd10\n")
     with pytest.raises(ValueError):
         load_code_records(path)
+
+
+def test_load_code_records_short_row_names_file_and_line(tmp_path):
+    path = tmp_path / "codes.csv"
+    path.write_text("patient_ref,code,system,date\np1,I21.0,icd10,2021-03-04\np,5-100\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3: "):
+        load_code_records(path)
+
+
+def test_load_code_records_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "codes.csv"
+    path.write_text("\ufeffpatient_ref,code,system,date\np1,I21.0,icd10,2021-03-04\n")
+    assert load_code_records(path)[0].patient_ref == "p1"
 
 
 def test_icd_category_truncation():
@@ -327,10 +341,16 @@ def test_examples_jsonl_round_trip(tmp_path):
         LabeledExample("d2", "zwei", {"C"}, None),
     ]
     path = tmp_path / "ex.jsonl"
-    write_examples_jsonl(path, examples, include_patient_ref=True)
+    write_examples_jsonl(path, examples)
     lines = path.read_text().splitlines()
     assert '"labels": ["A", "B"]' in lines[0]  # sorted on disk
     assert "Größe" in lines[0]  # not ascii-escaped
+    assert "patient_ref" not in lines[0]  # exported splits carry no patient
+    write_jsonl(
+        path,
+        [{"id": ex.doc_id, "text": ex.text, "labels": sorted(ex.labels), "patient_ref": ex.patient_ref}
+         for ex in examples],
+    )
     loaded = load_examples_jsonl(path)
     assert loaded[0].labels == {"A", "B"}
     assert loaded[0].patient_ref == "p1"

@@ -25,6 +25,7 @@ from medcorpus.corpus import (
     default_german_stopwords,
     load_documents,
     policy_presets,
+    read_json,
     read_jsonl,
     read_lines,
     split_sentences,
@@ -215,12 +216,29 @@ def test_read_lines_one_rule_for_list_files(tmp_path):
 
 
 def test_read_jsonl_skips_blank_lines_and_names_a_bad_line(tmp_path):
+    def objects_only(value):
+        if not isinstance(value, dict):
+            raise ValueError("not an object")
+        return value
+
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n[2]\n', encoding="utf-8")
-    assert read_jsonl(path) == [(1, {"a": 1}), (3, [2])]
+    assert read_jsonl(path, lambda value: value) == [{"a": 1}, [2]]
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: not an object$"):
+        read_jsonl(path, objects_only)
     path.write_text('{"a": 1}\n\n{"a": \n', encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "):
-        read_jsonl(path)
+        read_jsonl(path, lambda value: value)
+
+
+def test_json_nested_past_the_recursion_limit_is_a_data_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "):
+        read_json(path)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 1: "):
+        read_jsonl(path, lambda value: value)
+    assert [e.line_no for e in load_documents(path, "ehr").errors] == [1]
 
 
 def test_load_documents_records_errors(tmp_path):

@@ -82,6 +82,27 @@ def test_search_space_from_obj():
     assert SearchSpace.from_obj({}) == SearchSpace()
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1], "search space must be a JSON object, not list"),
+        ({"learning_rate": 5}, "'learning_rate' must be a [low, high] list of numbers"),
+        ({"learning_rate": [1e-5]}, "'learning_rate' must be"),
+        ({"learning_rate": ["1e-5", 1e-4]}, "'learning_rate' must be"),
+        ({"batch_size": "16"}, "'batch_size' must be a non-empty list of integers"),
+        ({"batch_size": []}, "'batch_size' must be"),
+        ({"batch_size": [8, 16.5]}, "'batch_size' must be"),
+        ({"batch_size": [True]}, "'batch_size' must be"),
+        ({"warmup_steps": [0, 10, 20]}, "'warmup_steps' must be a [low, high] list of integers"),
+        ({"warmup_steps": [0, 1.5]}, "'warmup_steps' must be"),
+        ({"learning_rates": [1e-5, 1e-4]}, "unknown key 'learning_rates' in search space"),
+    ],
+)
+def test_search_space_from_obj_rejects_wrong_shapes(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SearchSpace.from_obj(obj)
+
+
 # --- trial bookkeeping ------------------------------------------------------
 
 

@@ -344,10 +344,7 @@ def test_write_report_files(tmp_path):
 
 def test_load_classification_predictions_join():
     gold = [("d1", {"A"}), ("d2", {"B"}), ("d3", {"A", "B"})]
-    rows = [
-        {"id": "d1", "scores": {"A": 0.9, "B": 0.2}},
-        {"id": "d3", "scores": {"A": 0.7}},
-    ]
+    rows = [("d1", {"A": 0.9, "B": 0.2}), ("d3", {"A": 0.7})]
     preds = load_classification_predictions(gold, rows)
     assert preds.classes == ["A", "B"]
     assert preds.scores["A"] == [0.9, 0.0, 0.7]  # d2 missing: zero scores
@@ -356,7 +353,7 @@ def test_load_classification_predictions_join():
 
 def test_load_classification_predictions_unknown_id():
     with pytest.raises(ValueError):
-        load_classification_predictions([("d1", {"A"})], [{"id": "zz", "scores": {}}])
+        load_classification_predictions([("d1", {"A"})], [("zz", {})])
 
 
 def test_scored_predictions_length_validation():

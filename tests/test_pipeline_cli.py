@@ -251,6 +251,16 @@ def test_pipeline_bad_config_writes_no_artifact(tmp_path, capsys, change):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("path", ["missing.jsonl", "."])
+def test_pipeline_unreadable_input_creates_no_output_directory(tmp_path, capsys, path):
+    config, _ = pipeline_fixture(tmp_path)
+    config["inputs"].append({"path": path, "source": "discharge"})
+    code, out = run_cli_pipeline(tmp_path, config)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_unknown_key_is_named(tmp_path):
     config, _ = pipeline_fixture(tmp_path)
     config["anonymize"] = {"gazeteer": "names.txt"}
@@ -518,7 +528,11 @@ def test_cli_bench_split(tmp_path, capsys):
         LabeledExample(f"d{i}", "text", {"L"}, patient_ref=f"p{i}") for i in range(10)
     ]
     path = tmp_path / "ex.jsonl"
-    write_examples_jsonl(path, examples, include_patient_ref=True)
+    write_jsonl(
+        path,
+        [{"id": ex.doc_id, "text": ex.text, "labels": ["L"], "patient_ref": ex.patient_ref}
+         for ex in examples],
+    )
     out_dir = tmp_path / "split"
     code = cli.main(
         ["bench", "split", str(path), "--sizes", "6", "2", "2", "--out-dir", str(out_dir)]
@@ -673,7 +687,15 @@ def test_cli_eval_ner_count_mismatch(tmp_path, capsys):
     assert cli.main(["eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path)]) == 2
 
 
-@pytest.mark.parametrize("bad_row", [["O"], 5, {"tags": "O"}, {"id": "a"}])
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        ["O"], 5, {"tags": "O"}, {"id": "a"},
+        {"tags": ["O"], "scores": 5},
+        {"tags": ["O"], "scores": [1]},
+        {"tags": ["O"], "scores": [{"PER": None}]},
+    ],
+)
 def test_cli_eval_ner_prediction_row_of_wrong_shape_names_file_and_line(
     tmp_path, capsys, bad_row
 ):
@@ -683,6 +705,87 @@ def test_cli_eval_ner_prediction_row_of_wrong_shape_names_file_and_line(
     pred_path.write_text(f"\n{json.dumps(bad_row)}\n", encoding="utf-8")
     assert cli.main(["eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path)]) == 2
     assert f"error: {pred_path}: line 2: " in capsys.readouterr().err
+
+
+BAD_PREDICTION_ROWS = [
+    ["d1"],
+    5,
+    {"scores": {"A": 0.9}},
+    {"id": "d1"},
+    {"id": "d1", "scores": [0.9]},
+    {"id": "d1", "scores": {"A": "0.9"}},
+    {"id": "d1", "scores": {"A": [0.9]}},
+]
+
+
+@pytest.mark.parametrize("bad_row", BAD_PREDICTION_ROWS)
+def test_cli_eval_clf_prediction_row_of_wrong_shape_names_file_and_line(
+    tmp_path, capsys, bad_row
+):
+    gold_path = tmp_path / "gold.jsonl"
+    write_examples_jsonl(gold_path, [LabeledExample("d1", "t", {"A"})])
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text(
+        f'{json.dumps({"id": "d1", "scores": {"A": 0.9}})}\n\n{json.dumps(bad_row)}\n',
+        encoding="utf-8",
+    )
+    report = tmp_path / "eval.json"
+    code = cli.main(
+        ["eval", "clf", "--gold", str(gold_path), "--pred", str(pred_path), "--report", str(report)]
+    )
+    assert code == 2
+    assert f"error: {pred_path}: line 3: " in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["tokenize", "fertility"])
+def test_cli_vocabulary_without_unknown_token_is_a_data_error(tmp_path, capsys, command):
+    corpus = tmp_path / "c.jsonl"
+    write_jsonl(corpus, [{"id": "d", "source": "s", "text": "xyz qq"}])
+    vocab_path = tmp_path / "vocab.txt"
+    vocab_path.write_text("a\nb\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert cli.main([command, str(corpus), "--vocab", str(vocab_path), "--out", str(out)]) == 2
+    assert "[UNK]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("space", [[1], {"learning_rate": 5}, {"batch_sizes": [8]}])
+def test_cli_hpo_run_space_of_wrong_shape_is_a_data_error(tmp_path, capsys, space):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(space), encoding="utf-8")
+    study_path = tmp_path / "study.json"
+    code = cli.main(
+        ["hpo", "run", "--space", str(space_path), "--cmd", "true", "--trials", "1",
+         "--study", str(study_path)]
+    )
+    assert code == 2
+    assert "search space" in capsys.readouterr().err
+    assert not study_path.exists()
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    ["p,5-100", "p,5-100,ops,2020-13-01", "p,5-100,icd10,2020-01-01", ",5-100,ops,2020-01-01"],
+)
+def test_cli_bench_build_codes_row_of_wrong_shape_names_file_and_line(
+    tmp_path, capsys, bad_row
+):
+    docs_path = tmp_path / "docs.jsonl"
+    write_jsonl(
+        docs_path, [{"id": "d", "source": "s", "text": "t", "patient_ref": "p", "date": "2020-01-01"}]
+    )
+    codes_path = tmp_path / "codes.csv"
+    codes_path.write_text(
+        f"patient_ref,code,system,date\np,5-100,ops,2020-01-01\n\n{bad_row}\n", encoding="utf-8"
+    )
+    out_dir = tmp_path / "task"
+    code = cli.main(
+        ["bench", "build", str(docs_path), str(codes_path), "--out-dir", str(out_dir)]
+    )
+    assert code == 2
+    assert f"error: {codes_path}: line 4: " in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_hpo_run(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,6 +198,11 @@ def test_vocab_token_kinds_invariant(corpus, floor):
 
 
 # --- tokenization -----------------------------------------------------------
+
+
+def test_vocabulary_requires_unknown_token():
+    with pytest.raises(ValueError, match=re.escape(UNK_TOKEN)):
+        Vocabulary(["a", "b"], VocabConfig())
 
 
 def test_greedy_longest_match_picks_longest_pieces():
