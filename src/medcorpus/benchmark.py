@@ -18,7 +18,7 @@ from datetime import date as _date
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Document, read_jsonl, write_jsonl, write_text
+from .corpus import Document, open_text, read_jsonl, write_jsonl, write_text
 
 SYSTEM_ICD10 = "icd10"
 SYSTEM_OPS = "ops"
@@ -66,7 +66,7 @@ def load_code_records(path: str | Path) -> list[CodeRecord]:
     names the columns patient_ref, code, system and date, in any order. A
     row of another shape is a ``ValueError`` that names the file and line."""
     records: list[CodeRecord] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None or not set(_CODE_COLUMNS).issubset(reader.fieldnames):
@@ -403,7 +403,7 @@ def load_conll(path: str | Path) -> list[TokenLabeledExample]:
     examples: list[TokenLabeledExample] = []
     tokens: list[str] = []
     tags: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for raw in fh:
             line = raw.rstrip("\n")
             if not line:

@@ -265,7 +265,7 @@ def cmd_eval_ner(args) -> int:
 
 
 def cmd_hpo_run(args) -> int:
-    space = hpo_mod.SearchSpace.from_obj(corpus_mod.read_json(args.space))
+    space = hpo_mod.SearchSpace.load(args.space)
     study = hpo_mod.run_study(
         space,
         hpo_mod.command_objective(args.cmd),

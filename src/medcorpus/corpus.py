@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, replace
 from datetime import date as _date
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 SENTENCE_TERMINATORS = ".!?;"
 
@@ -105,7 +106,7 @@ def load_documents(
     errors: list[LoadError] = []
     if seen_ids is None:
         seen_ids = set()
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -135,6 +136,18 @@ def document_to_obj(doc: Document) -> dict:
 
 
 # --- the file layer: every artifact write and list or JSONL read -----------
+
+
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open an input file for reading: UTF-8, optionally with a byte order
+    mark. A byte that is not UTF-8 raises a ``ValueError`` that names the
+    file."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:
@@ -183,13 +196,13 @@ def read_lines(path: str | Path) -> list[str]:
     """The entries of a list file: UTF-8 with an optional byte order mark,
     one entry per line, surrounding whitespace stripped, blank lines
     skipped."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         return [entry for entry in (line.strip() for line in fh) if entry]
 
 
 def read_json(path: str | Path):
     """One JSON document; a parse error names the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
@@ -212,7 +225,7 @@ def read_jsonl(path: str | Path, parse: Callable[[object], object]) -> list:
     or a value ``parse`` rejects with a ``ValueError``, raises a
     ``ValueError`` that names the file and the line number."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:

@@ -90,6 +90,15 @@ class SearchSpace:
             kwargs["warmup_low"], kwargs["warmup_high"] = obj["warmup_steps"]
         return cls(**kwargs)
 
+    @classmethod
+    def load(cls, path: str | Path) -> "SearchSpace":
+        """The space of a search-space JSON file; an error names the file."""
+        obj = read_json(path)
+        try:
+            return cls.from_obj(obj)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
 
 @dataclass(frozen=True)
 class Params:

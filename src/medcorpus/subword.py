@@ -13,7 +13,8 @@ Fertility is subword count divided by word count; lower is better and
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
@@ -23,6 +24,8 @@ from .corpus import read_lines, write_text
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 UNK_TOKEN = "[UNK]"
 CONTINUATION_PREFIX = "##"
+
+Pair = tuple[str, str]
 
 # A pair seen only once is no evidence for a reusable piece.
 _MIN_PAIR_FREQ = 2
@@ -122,28 +125,22 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        return cls(read_lines(path), VocabConfig())
+        """The token list of a list file; a list that is not a vocabulary is
+        a ``ValueError`` that names the file."""
+        tokens = read_lines(path)
+        try:
+            return cls(tokens, VocabConfig())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
-def _merge_step(
-    words: dict[str, list[str]], weights: dict[str, int]
-) -> tuple[str, str] | None:
-    pair_counts: Counter[tuple[str, str]] = Counter()
-    for w, symbols in words.items():
-        if len(symbols) < 2:
-            continue
-        weight = weights[w]
-        for a, b in zip(symbols, symbols[1:]):
-            pair_counts[(a, b)] += weight
-    if not pair_counts:
-        return None
-    best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if best[1] < _MIN_PAIR_FREQ:
-        return None
-    return best[0]
+def _pair_heap(counts: dict[Pair, int]) -> list[tuple[int, Pair]]:
+    heap = [(-count, pair) for pair, count in counts.items() if count >= _MIN_PAIR_FREQ]
+    heapq.heapify(heap)
+    return heap
 
 
-def _apply_merge(symbols: list[str], pair: tuple[str, str], merged: str) -> list[str]:
+def _apply_merge(symbols: list[str], pair: Pair, merged: str) -> list[str]:
     out: list[str] = []
     i = 0
     while i < len(symbols):
@@ -166,6 +163,13 @@ def build_vocab(texts: Sequence[str], config: VocabConfig = VocabConfig()) -> Vo
     frequency floor must not enter the vocabulary (the floor exists to
     keep rare strings such as patient names out), so the only token kinds
     are specials, single characters, continuations, and frequent words.
+
+    Each merge step takes the pair with the highest frequency-weighted
+    count and merges it left to right, without overlap, in every word that
+    holds it: the merge order is that of a full recount after every step.
+    The pair counts are kept up to date from the words a merge changed, so
+    the work per merge scales with the words that hold the pair, not with
+    the corpus.
     """
     word_freqs = Counter()
     for text in texts:
@@ -194,20 +198,57 @@ def build_vocab(texts: Sequence[str], config: VocabConfig = VocabConfig()) -> Vo
             tokens.append(word)
             token_set.add(word)
 
-    symbolized = {
-        w: [w[0]] + [prefix + ch for ch in w[1:]]
-        for w in word_freqs
-        if w not in whole_words and len(w) > 1
-    }
-    weights = {w: word_freqs[w] for w in symbolized}
+    # one shared string per continuation symbol, not one per occurrence
+    continuation = {ch: prefix + ch for ch in alphabet}
+    pieced = [w for w in word_freqs if w not in whole_words and len(w) > 1]
+    symbols = [[w[0], *(continuation[ch] for ch in w[1:])] for w in pieced]
+    weights = [word_freqs[w] for w in pieced]
+    counts: dict[Pair, int] = {}
+    # pair -> ids of the words that hold it. An id may be stale or repeated
+    # (a word left without the pair is skipped below), but never missing.
+    holders: defaultdict[Pair, list[int]] = defaultdict(list)
+    for wid, syms in enumerate(symbols):
+        for pair in zip(syms, syms[1:]):
+            counts[pair] = counts.get(pair, 0) + weights[wid]
+            holders[pair].append(wid)
+    heap = _pair_heap(counts)
     while len(tokens) < config.vocab_size:
-        pair = _merge_step(symbolized, weights)
-        if pair is None:
+        # entries whose count is no longer live are skipped; every live
+        # count >= _MIN_PAIR_FREQ has an entry, so the first live one is the
+        # most frequent pair, ties broken lexicographically
+        while heap and counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
+        pair = heapq.heappop(heap)[1]
         a, b = pair
         merged = a + b[len(prefix) :] if b.startswith(prefix) else a + b
-        for w in symbolized:
-            symbolized[w] = _apply_merge(symbolized[w], pair, merged)
+        delta: dict[Pair, int] = {}
+        for wid in holders.pop(pair):
+            old = symbols[wid]
+            new = _apply_merge(old, pair, merged)
+            if len(new) == len(old):
+                continue
+            weight = weights[wid]
+            for p in zip(old, old[1:]):
+                delta[p] = delta.get(p, 0) - weight
+            for p in zip(new, new[1:]):
+                delta[p] = delta.get(p, 0) + weight
+                if merged in p:  # any other pair of the word was indexed before
+                    holders[p].append(wid)
+            symbols[wid] = new
+        for p, d in delta.items():
+            if not d:
+                continue
+            count = counts.get(p, 0) + d
+            if count:
+                counts[p] = count
+            else:
+                del counts[p]
+            if count >= _MIN_PAIR_FREQ:
+                heapq.heappush(heap, (-count, p))
+        if len(heap) > 2 * len(counts):
+            heap = _pair_heap(counts)
         if merged in token_set:
             continue
         if not merged.startswith(prefix):
@@ -303,9 +344,16 @@ def measure_fertility(
     total_words = 0
     total_subwords = 0
     breakdown: list[DocumentFertility] | None = [] if per_document else None
+    # subword count per distinct word: running text repeats most words
+    n_pieces: dict[str, int] = {}
     for doc_id, text in items:
         words = extract_words(text)
-        n_sub = sum(len(tokenize_word(w, vocab)) for w in words)
+        n_sub = 0
+        for w in words:
+            n = n_pieces.get(w)
+            if n is None:
+                n = n_pieces[w] = len(tokenize_word(w, vocab))
+            n_sub += n
         total_words += len(words)
         total_subwords += n_sub
         if breakdown is not None and words:

@@ -399,6 +399,12 @@ def test_conll_bad_line(tmp_path):
         load_conll(path)
 
 
+def test_load_conll_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "t.conll"
+    path.write_text("\ufeffHerr\tO\nMeier\tB-PER\n", encoding="utf-8")
+    assert load_conll(path)[0].tokens == ["Herr", "Meier"]
+
+
 def test_label_distribution_counts():
     split = Split(
         train=[ex("d1", ["A", "B"]), ex("d2", ["A"])],

@@ -186,6 +186,22 @@ def _corrupt(data, kind: str, text: str) -> bytes:
     return jsonl(*rows).encode("utf-8")
 
 
+def _write_inputs(base: Path, command: str) -> None:
+    files = COMMANDS[command][0]
+    for name, content in {**_FIXED, **{n: c for n, (_, c) in files.items()}}.items():
+        (base / name).write_text(content, encoding="utf-8")
+
+
+def _run(base: Path, command: str) -> tuple[int, str]:
+    """Exit code and stderr of ``command`` on the input files in ``base``."""
+    _, args, outputs = COMMANDS[command]
+    argv = [str(base / a) if (base / a).exists() or a in outputs else a for a in shlex.split(args)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stderr.getvalue()
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -194,16 +210,41 @@ def test_malformed_input_file_is_never_an_internal_error(command, data):
     target = data.draw(st.sampled_from(sorted(files)))
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        for name, content in {**_FIXED, **{n: c for n, (_, c) in files.items()}}.items():
-            (base / name).write_text(content, encoding="utf-8")
+        _write_inputs(base, command)
         kind, content = files[target]
         (base / target).write_bytes(_corrupt(data, kind, content))
-        argv = [str(base / a) if (base / a).exists() or a in outputs else a for a in shlex.split(args)]
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-        assert code in (0, 1, 2), stderr.getvalue()
+        code, stderr = _run(base, command)
+        assert code in (0, 1, 2), stderr
         # a pipeline whose output fails its re-scan exits 2 after writing it
-        if code != 0 and "documents with residuals" not in stderr.getvalue():
-            assert not [o for o in outputs if (base / o).exists()], stderr.getvalue()
+        if code != 0 and "documents with residuals" not in stderr:
+            assert not [o for o in outputs if (base / o).exists()], stderr
         assert not list(base.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [(c, f) for c in ("bench build", "eval clf", "tokenize") for f in sorted(COMMANDS[c][0])],
+)
+def test_a_byte_that_is_not_utf8_names_its_file(tmp_path, command, target):
+    _write_inputs(tmp_path, command)
+    (tmp_path / target).write_bytes(b"\xff" + (tmp_path / target).read_bytes())
+    code, stderr = _run(tmp_path, command)
+    assert code == 2
+    assert stderr.startswith(f"error: {tmp_path / target}: "), stderr
+
+
+@pytest.mark.parametrize(
+    "command, target, content, message",
+    [
+        ("tokenize", "vocab.txt", "a\nb\n", "vocabulary has no [UNK] token"),
+        ("hpo run", "space.json", '{"batch_sizes": [8]}', "unknown key 'batch_sizes' in search space"),
+    ],
+)
+def test_vocabulary_and_search_space_errors_name_their_file(
+    tmp_path, command, target, content, message
+):
+    _write_inputs(tmp_path, command)
+    (tmp_path / target).write_text(content, encoding="utf-8")
+    code, stderr = _run(tmp_path, command)
+    assert code == 2
+    assert stderr.startswith(f"error: {tmp_path / target}: {message}"), stderr

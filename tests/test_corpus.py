@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import medcorpus
+from medcorpus.benchmark import load_code_records, load_conll
 from medcorpus.corpus import (
     MB_BINARY,
     MB_DECIMAL,
@@ -229,6 +230,25 @@ def test_read_jsonl_skips_blank_lines_and_names_a_bad_line(tmp_path):
     path.write_text('{"a": 1}\n\n{"a": \n', encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "):
         read_jsonl(path, lambda value: value)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        read_lines,
+        read_json,
+        lambda path: read_jsonl(path, lambda value: value),
+        load_documents,
+        load_code_records,
+        load_conll,
+    ],
+    ids=["read_lines", "read_json", "read_jsonl", "load_documents", "load_code_records", "load_conll"],
+)
+def test_a_byte_that_is_not_utf8_is_an_error_naming_the_file(tmp_path, read):
+    path = tmp_path / "input"
+    path.write_bytes(b'{"a": 1}\n\xff\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "):
+        read(path)
 
 
 def test_json_nested_past_the_recursion_limit_is_a_data_error(tmp_path):
