@@ -5,14 +5,21 @@ Generates PII notes with planted names, then anonymizes them with the
 planted name parts alone and with the parts padded by seeded filler
 entries that never occur in the text. For each size it prints the
 recognizer build, the name scan over the input, the name rescan over the
-redacted output, and the whole ``anonymize_corpus`` call, in seconds.
+redacted output, the date scan over the input, and the whole
+``anonymize_corpus`` call, in seconds.
 """
 
 import argparse
 import random
 import time
 
-from medcorpus.anonymize import Gazetteer, GazetteerRecognizer, anonymize_corpus, detect_names
+from medcorpus.anonymize import (
+    Gazetteer,
+    GazetteerRecognizer,
+    anonymize_corpus,
+    detect_dates,
+    detect_names,
+)
 from medcorpus.synth import pii_corpus
 
 
@@ -39,7 +46,10 @@ def main() -> None:
     sizes = [len(pii.names)] + [n for n in args.sizes if n > len(pii.names)]
 
     print(f"documents {len(pii.documents)}, planted name parts {len(pii.names)}")
-    print(f"{'entries':>8} {'build':>8} {'scan':>8} {'rescan':>8} {'anonymize':>10} {'vs first':>9}")
+    print(
+        f"{'entries':>8} {'build':>8} {'scan':>8} {'rescan':>8} {'dates':>8} "
+        f"{'anonymize':>10} {'vs first':>9}"
+    )
     # compile the date patterns before the first timed call
     anonymize_corpus(pii.documents[:10], Gazetteer(frozenset(pii.names)))
     first = None
@@ -56,12 +66,15 @@ def main() -> None:
         for doc in out:
             detect_names(doc.text, recognizer)
         t4 = time.perf_counter()
+        for doc in pii.documents:
+            detect_dates(doc.text)
+        t5 = time.perf_counter()
         if not report.passed:
             raise SystemExit(f"{size} entries: {len(report.residuals)} documents with residuals")
         total = t3 - t2
         first = first or total
         print(
-            f"{size:>8} {t1 - t0:>8.3f} {t2 - t1:>8.3f} {t4 - t3:>8.3f} "
+            f"{size:>8} {t1 - t0:>8.3f} {t2 - t1:>8.3f} {t4 - t3:>8.3f} {t5 - t4:>8.3f} "
             f"{total:>10.3f} {total / first:>8.2f}x"
         )
 

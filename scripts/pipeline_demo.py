@@ -42,7 +42,7 @@ def main() -> None:
     }
     manifest = None
     for run in ("run1", "run2"):
-        manifest = run_pipeline(config, args.out / run, args.out)
+        manifest, _ = run_pipeline(config, args.out / run, args.out)
     for name in sorted(p.name for p in (args.out / "run1").iterdir()):
         if not filecmp.cmp(args.out / "run1" / name, args.out / "run2" / name, shallow=False):
             raise SystemExit(f"rerun differs: {name}")

@@ -2,7 +2,14 @@
 
 Spans carry byte offsets into the UTF-8 encoding of the original text and
 must fall on character boundaries. Detection matches on characters and
-converts only the match endpoints to byte offsets, once per scan.
+converts only the match endpoints to byte offsets, once per scan. The
+scans skip to where a match can start instead of trying every position:
+the numeric date patterns begin with a digit and check what precedes it
+after that digit, a text without two adjacent digits holds no date, and
+in case-sensitive mode the name scan begins with an entry's first
+character. The re-scan of the redacted output runs the same full date
+and name detection on every document.
+
 Redaction splices replacement strings over the spans and leaves every byte
 outside them untouched, which makes the length accounting and the closure
 check (re-detect on the output) mechanically verifiable.
@@ -142,14 +149,23 @@ class GazetteerRecognizer:
         seconds: dict[str, set[str]] = {}
         for e in entries:
             seconds.setdefault(e[0], set()).add(e[1:2])
-        alternatives = [
-            re.escape(first)
-            if "" in nexts
-            else re.escape(first) + "[%s]" % "".join(re.escape(c) for c in sorted(nexts))
+        branches = [
+            (re.escape(first), "" if "" in nexts else "[%s]" % re.escape("".join(sorted(nexts))))
             for first, nexts in sorted(seconds.items())
         ]
-        flags = re.IGNORECASE if self._fold is not None else 0
-        self._starts = re.compile(r"\b(?=%s)" % "|".join(alternatives), flags)
+        if self._fold is None:
+            # Each branch is led by its first character F, so the regex engine
+            # skips to the characters that start an entry; the lookbehind puts
+            # the word boundary before F.
+            self._starts = re.compile(
+                "|".join(rf"{f}(?<=\b{f})" + (f"(?={s})" if s else "") for f, s in branches)
+            )
+        else:
+            # IGNORECASE turns that skip off for cased characters, and trying
+            # every branch at every position is slower than testing \b first.
+            self._starts = re.compile(
+                r"\b(?=%s)" % "|".join(f + s for f, s in branches), re.IGNORECASE
+            )
 
     def _key(self, text: str) -> str:
         return text if self._fold is None else text.translate(self._fold)
@@ -198,13 +214,18 @@ _MONTHS = (
 )
 
 # Numeric day.month.year; two-digit years only in the full DD.MM.YY form.
-_D_M_YYYY = re.compile(r"(?<![\d.])([0-3]?\d)\.([01]?\d)\.(\d{4})(?!\d)")
-_DD_MM_YY = re.compile(r"(?<![\d.])(\d{2})\.(\d{2})\.(\d{2})(?!\d)")
-_ISO = re.compile(r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)")
-_D_MONTH_YYYY = re.compile(
-    r"(?<![\d.])([0-3]?\d)\.\s*(%s)\s+(\d{4})(?!\d)" % _MONTHS, re.IGNORECASE
-)
+# The digit-led forms open with ``\d`` so that the regex engine skips to
+# digits; the lookbehind that a match start needs follows that first digit,
+# and ``(?:(?<=[0-3])\d)?`` is ``[0-3]?\d`` read from its first digit.
+_DAY = r"(\d(?<![\d.]\d)(?:(?<=[0-3])\d)?)"
+_D_M_YYYY = re.compile(_DAY + r"\.([01]?\d)\.(\d{4})(?!\d)")
+_DD_MM_YY = re.compile(r"(\d(?<![\d.]\d)\d)\.(\d{2})\.(\d{2})(?!\d)")
+_ISO = re.compile(r"(\d(?<!\d\d)\d{3})-(\d{2})-(\d{2})(?!\d)")
+_D_MONTH_YYYY = re.compile(_DAY + r"\.\s*(%s)\s+(\d{4})(?!\d)" % _MONTHS, re.IGNORECASE)
 _MONTH_YYYY = re.compile(r"\b(%s)\s+(\d{4})(?!\d)" % _MONTHS, re.IGNORECASE)
+# Every date holds two adjacent digits, and "Monat YYYY" four.
+_DIGIT_PAIR = re.compile(r"\d\d")
+_YEAR = re.compile(r"\d{4}")
 
 
 def _valid_day(s: str) -> bool:
@@ -222,6 +243,8 @@ def detect_dates(text: str, wildcard: str = DATE_WILDCARD) -> list[RedactionSpan
     "Monat YYYY", and ISO YYYY-MM-DD. Day and month values are range
     checked, so "12.34" or a 34th month never match.
     """
+    if _DIGIT_PAIR.search(text) is None:
+        return []
     found: list[re.Match] = []
     add = found.append
 
@@ -237,8 +260,8 @@ def detect_dates(text: str, wildcard: str = DATE_WILDCARD) -> list[RedactionSpan
     for m in _D_MONTH_YYYY.finditer(text):
         if _valid_day(m.group(1)):
             add(m)
-    for m in _MONTH_YYYY.finditer(text):
-        add(m)
+    if _YEAR.search(text) is not None:
+        found.extend(_MONTH_YYYY.finditer(text))
     points = sorted({p for m in found for p in m.span()})
     byte_at = dict(zip(points, _byte_offsets(text, points)))
     raw = [

@@ -299,14 +299,12 @@ def cmd_pretrain_config(args) -> int:
 def cmd_pipeline(args) -> int:
     config_path = Path(args.config)
     config = corpus_mod.read_json(config_path)
-    manifest = pipeline_mod.run_pipeline(config, args.out_dir, config_path.parent)
+    manifest, anon_report = pipeline_mod.run_pipeline(config, args.out_dir, config_path.parent)
     for stage in manifest.stages:
         print(f"{stage.name}: {stage.n_in} in, {stage.n_out} out")
-    residual_docs = next(
-        s.details["residual_documents"] for s in manifest.stages if s.name == "anonymize"
-    )
-    if residual_docs:
-        print(f"anonymize: {residual_docs} documents with residuals", file=sys.stderr)
+    n_residual = len(anon_report.residuals)
+    if n_residual:
+        print(f"anonymize: {n_residual} documents with residuals", file=sys.stderr)
         return 2
     return 0
 

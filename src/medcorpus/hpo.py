@@ -20,6 +20,7 @@ import re
 import shlex
 import statistics
 import subprocess
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -126,6 +127,8 @@ class Trial:
     intermediate: list[tuple[int, float]] = field(default_factory=list)
     state: str = STATE_RUNNING
     final_value: float | None = None
+    # "<exception type>: <message>" of a failed trial
+    error: str | None = None
 
     def report(self, step: int, value: float) -> None:
         if self.intermediate and step <= self.intermediate[-1][0]:
@@ -146,6 +149,7 @@ class Trial:
             "intermediate": [[s, v] for s, v in self.intermediate],
             "state": self.state,
             "final_value": self.final_value,
+            "error": self.error,
         }
 
     @classmethod
@@ -154,6 +158,7 @@ class Trial:
         trial = cls(obj["id"], params, [(int(s), float(v)) for s, v in obj["intermediate"]])
         trial.state = obj["state"]
         trial.final_value = obj["final_value"]
+        trial.error = obj.get("error")
         return trial
 
 
@@ -241,7 +246,8 @@ def run_study(
     The objective receives sampled params and a ``report(step, value)``
     callback; the callback raises :class:`TrialPruned` when the trial
     should stop, and the objective's return value becomes the final value.
-    Any other exception marks the trial failed and the study moves on.
+    Any other exception marks the trial failed, with the exception's type
+    and message as its ``error``, and the study moves on.
 
     Params are sampled in trial-id order regardless of ``n_jobs``. With
     ``n_jobs`` > 1 trials run in parallel and pruning compares against
@@ -270,9 +276,10 @@ def run_study(
         except TrialPruned:
             with lock:
                 trial.state = STATE_PRUNED
-        except Exception:
+        except Exception as exc:
             with lock:
                 trial.state = STATE_FAILED
+                trial.error = f"{type(exc).__name__}: {exc}"
         if study_path is not None:
             with lock:
                 study.save(study_path)
@@ -290,6 +297,14 @@ def run_study(
     return study
 
 
+def _last_line(file) -> str:
+    """The last non-blank line of the last 4 KiB of a binary ``file``."""
+    size = file.seek(0, os.SEEK_END)
+    file.seek(max(0, size - 4096))
+    lines = file.read().decode("utf-8", "replace").splitlines()
+    return next((line.strip() for line in reversed(lines) if line.strip()), "")
+
+
 _STEP_LINE = re.compile(r"^step=(\d+)\s+value=([^\s]+)\s*$")
 _FINAL_LINE = re.compile(r"^final=([^\s]+)\s*$")
 
@@ -302,7 +317,8 @@ def command_objective(command: str) -> Objective:
     exported as HPO_* environment variables. It must print
     ``step=<int> value=<float>`` lines while training and a terminal
     ``final=<float>`` line, exiting 0. On pruning the process is
-    terminated.
+    terminated. A non-zero exit raises a ``RuntimeError`` that quotes the
+    last line the command wrote to stderr.
     """
     argv_base = shlex.split(command)
 
@@ -319,26 +335,31 @@ def command_objective(command: str) -> Objective:
             HPO_WARMUP_STEPS=str(params.warmup_steps),
         )
         final: float | None = None
-        proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env
-        )
-        try:
-            assert proc.stdout is not None
-            for line in proc.stdout:
-                m = _STEP_LINE.match(line)
-                if m:
-                    report(int(m.group(1)), float(m.group(2)))
-                    continue
-                m = _FINAL_LINE.match(line)
-                if m:
-                    final = float(m.group(1))
-        except TrialPruned:
-            proc.terminate()
-            proc.wait()
-            raise
-        code = proc.wait()
-        if code != 0:
-            raise RuntimeError(f"objective command exited with {code}")
+        # stderr goes to a file: a second pipe could fill up and block the
+        # command while stdout is read line by line
+        with tempfile.TemporaryFile() as stderr:
+            proc = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=stderr, text=True, env=env
+            )
+            try:
+                assert proc.stdout is not None
+                for line in proc.stdout:
+                    m = _STEP_LINE.match(line)
+                    if m:
+                        report(int(m.group(1)), float(m.group(2)))
+                        continue
+                    m = _FINAL_LINE.match(line)
+                    if m:
+                        final = float(m.group(1))
+            except TrialPruned:
+                proc.terminate()
+                proc.wait()
+                raise
+            code = proc.wait()
+            if code != 0:
+                raise RuntimeError(
+                    f"objective command exited with {code}: {_last_line(stderr)}"
+                )
         if final is None:
             raise RuntimeError("objective command printed no final= line")
         return final

@@ -141,8 +141,13 @@ def _policy_from_obj(obj: dict) -> corpus_mod.CleanPolicy:
     )
 
 
-def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = ".") -> PipelineManifest:
+def run_pipeline(
+    config: dict, out_dir: str | Path, config_dir: str | Path = "."
+) -> tuple[PipelineManifest, anon.AnonymizationReport]:
     """Run ingest, clean, dedup, anonymize, stats on the configured inputs.
+
+    Returns the manifest and the anonymization report, whose residuals say
+    which output documents failed the re-scan.
 
     The whole config, including the gazetteer file, is checked and every
     input file is read before the first artifact is written: an unknown key
@@ -262,4 +267,4 @@ def run_pipeline(config: dict, out_dir: str | Path, config_dir: str | Path = "."
     )
 
     manifest.save(out / "manifest.json")
-    return manifest
+    return manifest, anon_report

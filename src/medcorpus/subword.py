@@ -14,6 +14,7 @@ Fertility is subword count divided by word count; lower is better and
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,24 +47,17 @@ class VocabConfig:
             raise ValueError("vocab_size must exceed the number of special tokens")
 
 
+# A word from its first to its last alphanumeric character, or one other
+# non-space character. ``[^\W_]`` is ``str.isalnum`` and ``\S`` is
+# ``not str.isspace``, the characters ``str.split`` splits on.
+_WORD = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
+
+
 def extract_words(text: str) -> list[str]:
     """Whitespace tokens with leading and trailing punctuation split off as
     separate one-character words, so "Lunge." counts as two words. Interior
     punctuation stays attached."""
-    words: list[str] = []
-    for run in text.split():
-        start, end = 0, len(run)
-        lead_stop = start
-        while lead_stop < end and not run[lead_stop].isalnum():
-            lead_stop += 1
-        trail_start = end
-        while trail_start > lead_stop and not run[trail_start - 1].isalnum():
-            trail_start -= 1
-        words.extend(run[i] for i in range(start, lead_stop))
-        if lead_stop < trail_start:
-            words.append(run[lead_stop:trail_start])
-        words.extend(run[i] for i in range(trail_start, end))
-    return words
+    return _WORD.findall(text)
 
 
 def filter_rare_chars(

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -302,15 +303,21 @@ def test_run_study_saved_file_matches_final_state(tmp_path):
     assert Study.load(path).to_obj() == study.to_obj()
 
 
-def test_run_study_records_failures():
+def test_run_study_records_failures(tmp_path):
     def flaky(params, report):
         if params.batch_size == 8:
             raise RuntimeError("boom")
         return 1.0
 
-    study = run_study(SearchSpace(batch_sizes=(8, 16)), flaky, n_trials=12, seed=0)
+    path = tmp_path / "study.json"
+    study = run_study(SearchSpace(batch_sizes=(8, 16)), flaky, n_trials=12, seed=0,
+                      study_path=path)
     states = {t.state for t in study.trials}
     assert "failed" in states and "complete" in states
+    for t in study.trials:
+        assert t.error == ("RuntimeError: boom" if t.state == "failed" else None)
+    saved = json.loads(path.read_text())["trials"]
+    assert [t["error"] for t in saved] == [t.error for t in study.trials]
 
 
 def test_study_load_rejects_other_direction(tmp_path):
@@ -386,6 +393,26 @@ def test_command_objective_nonzero_exit(tmp_path):
     script.write_text("import sys\nprint('step=1 value=0.1')\nsys.exit(3)\n")
     with pytest.raises(RuntimeError):
         command_objective(f"python3 {script}")(PARAMS, lambda s, v: None)
+
+
+def test_command_objective_failure_quotes_last_stderr_line(tmp_path):
+    # more stderr than a pipe buffer holds, written before any stdout line
+    script = tmp_path / "obj.py"
+    script.write_text(
+        "import sys\n"
+        "for i in range(20000):\n"
+        "    print(f'warning {i}', file=sys.stderr)\n"
+        "print('step=1 value=0.1', flush=True)\n"
+        "print('out of memory at step 1\\n', file=sys.stderr)\n"
+        "sys.exit(1)\n"
+    )
+    objective = command_objective(f"python3 {script}")
+    message = "objective command exited with 1: out of memory at step 1"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        objective(PARAMS, lambda s, v: None)
+    study = run_study(SearchSpace(), objective, n_trials=1, seed=0)
+    assert study.trials[0].state == "failed"
+    assert study.trials[0].error == f"RuntimeError: {message}"
 
 
 def test_command_objective_missing_final(tmp_path):

@@ -105,7 +105,7 @@ ARTIFACTS = [
 def test_pipeline_end_to_end(tmp_path):
     config, _ = pipeline_fixture(tmp_path)
     out = tmp_path / "out"
-    manifest = run_pipeline(config, out, tmp_path)
+    manifest, _ = run_pipeline(config, out, tmp_path)
     for name in ARTIFACTS:
         assert (out / name).exists(), name
     stages = {s.name: s for s in manifest.stages}
@@ -141,7 +141,7 @@ def test_pipeline_reruns_byte_identical(tmp_path):
 def test_pipeline_empty_corpus(tmp_path):
     (tmp_path / "empty.jsonl").write_text("")
     config = {"inputs": [{"path": "empty.jsonl", "source": "other"}]}
-    manifest = run_pipeline(config, tmp_path / "out", tmp_path)
+    manifest, _ = run_pipeline(config, tmp_path / "out", tmp_path)
     for stage in manifest.stages:
         assert stage.n_in == 0 and stage.n_out == 0
 
@@ -307,9 +307,9 @@ def test_max_words_zero_is_rejected_by_cli_and_pipeline(tmp_path, capsys):
 
 def test_pipeline_manifest_hash_tracks_config(tmp_path):
     config, _ = pipeline_fixture(tmp_path)
-    first = run_pipeline(config, tmp_path / "one", tmp_path)
+    first, _ = run_pipeline(config, tmp_path / "one", tmp_path)
     config["dedup"]["threshold"] = 0.9
-    second = run_pipeline(config, tmp_path / "two", tmp_path)
+    second, _ = run_pipeline(config, tmp_path / "two", tmp_path)
     by_name = lambda m: {s.name: s.config_hash for s in m.stages}
     assert by_name(first)["dedup"] != by_name(second)["dedup"]
     assert by_name(first)["clean"] == by_name(second)["clean"]
@@ -875,4 +875,6 @@ def test_cli_pipeline_residuals_exit_2(tmp_path, capsys):
     assert code == 2
     report = json.loads((out_dir / "anonymization_report.json").read_text())
     assert report["passed"] is False
-    assert "residuals" in capsys.readouterr().err
+    n_residual = len(report["residuals"])
+    assert n_residual > 0
+    assert f"anonymize: {n_residual} documents with residuals" in capsys.readouterr().err

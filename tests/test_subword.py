@@ -46,6 +46,40 @@ def test_extract_words_empty():
     assert extract_words("   ") == []
 
 
+def reference_extract_words(text: str) -> list[str]:
+    """The per-character loop that ``extract_words`` replaced."""
+    words: list[str] = []
+    for run in text.split():
+        start, end = 0, len(run)
+        lead_stop = start
+        while lead_stop < end and not run[lead_stop].isalnum():
+            lead_stop += 1
+        trail_start = end
+        while trail_start > lead_stop and not run[trail_start - 1].isalnum():
+            trail_start -= 1
+        words.extend(run[i] for i in range(start, lead_stop))
+        if lead_stop < trail_start:
+            words.append(run[lead_stop:trail_start])
+        words.extend(run[i] for i in range(trail_start, end))
+    return words
+
+
+# punctuation, the underscore, CJK, non-ASCII digits and numerals (Arabic-
+# Indic, superscript, Roman), a combining mark, and whitespace that str.split
+# splits on: space, tab, newline, no-break space, ideographic space, the file,
+# group and record separators and the line separator
+WORD_CHARS = (
+    "aZäß.,;:-()/_'中文\u0663\u00b2\u216b\u0301"
+    " \t\n\u00a0\u3000\x1c\x1d\x1e\u2028"
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=WORD_CHARS, max_size=30))
+def test_extract_words_matches_reference(text):
+    assert extract_words(text) == reference_extract_words(text)
+
+
 # --- rare character filter --------------------------------------------------
 
 
