@@ -222,7 +222,24 @@ _D_M_YYYY = re.compile(_DAY + r"\.([01]?\d)\.(\d{4})(?!\d)")
 _DD_MM_YY = re.compile(r"(\d(?<![\d.]\d)\d)\.(\d{2})\.(\d{2})(?!\d)")
 _ISO = re.compile(r"(\d(?<!\d\d)\d{3})-(\d{2})-(\d{2})(?!\d)")
 _D_MONTH_YYYY = re.compile(_DAY + r"\.\s*(%s)\s+(\d{4})(?!\d)" % _MONTHS, re.IGNORECASE)
-_MONTH_YYYY = re.compile(r"\b(%s)\s+(\d{4})(?!\d)" % _MONTHS, re.IGNORECASE)
+# IGNORECASE turns off sre's skip to a first character when that character is
+# cased, so "Monat YYYY" opens with a case-sensitive class of every character
+# that IGNORECASE matches to a month's initial (U+017F is the long s), checks
+# the word boundary before it, and reads the rest of a month with that initial.
+_MONTH_INITIALS = "JjFfMmAaSs\u017fOoNnDd"
+
+
+def _month_tails() -> str:
+    tails: dict[str, list[str]] = {}
+    for month in _MONTHS.split("|"):
+        tails.setdefault(month[0].lower(), []).append(month[1:])
+    return "|".join(f"(?<={i})(?:{'|'.join(rest)})" for i, rest in tails.items())
+
+
+_MONTH_YYYY = re.compile(
+    r"((?-i:[%s])(?<=\b.)(?:%s))\s+(\d{4})(?!\d)" % (_MONTH_INITIALS, _month_tails()),
+    re.IGNORECASE,
+)
 # Every date holds two adjacent digits, and "Monat YYYY" four.
 _DIGIT_PAIR = re.compile(r"\d\d")
 _YEAR = re.compile(r"\d{4}")

@@ -6,9 +6,10 @@ Two engines produce identical results:
   document. Quadratic, trivially auditable, the reference that the tests
   hold the indexed engine to.
 * :func:`dedup_indexed` screens all pairs on blocked approximate scores
-  (dense BLAS products for common terms, a sparse product for rare ones)
-  and only verifies pairs whose approximate score is within a safety
-  margin of the threshold. Every decision is made by the same
+  (dense BLAS products for common terms, a sparse product for rare ones,
+  each block of documents against itself and the documents before it) and
+  only verifies pairs whose approximate score is within a safety margin of
+  the threshold. Every decision is made by the same
   :func:`cosine_similarity` call on the same operands as the exact
   engine, so the keep set, the removal set, and the clusters are
   identical; only ``pairs_examined`` may differ. :func:`dedup_documents`,
@@ -24,7 +25,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import chain
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,8 +52,9 @@ COMPARISONS = {"strict": COMPARISON_STRICT, "inclusive": COMPARISON_INCLUSIVE}
 # exceed the threshold under exact verification.
 _SCORE_MARGIN = 1e-6
 
-# Participant rows scored per screening block: the score buffer holds
-# BLOCK_ROWS x n floats.
+# Participant rows scored per screening block. A block is scored against
+# the columns up to its own end, the lower triangle of the pair matrix, so
+# the score buffer holds at most BLOCK_ROWS x n floats, for the last block.
 BLOCK_ROWS = 512
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -74,15 +79,17 @@ class BowVector:
     def __post_init__(self) -> None:
         if not self.counts:
             raise EmptyVectorError(f"document {self.doc_id!r} has an empty term vector")
-        if any(c <= 0 for c in self.counts.values()):
+        values = self.counts.values()
+        if min(values) <= 0:
             raise ValueError("bag-of-words counts must be positive")
-        sq = sum(c * c for c in self.counts.values())
+        sq = sum(map(mul, values, values))
         if abs(self.norm * self.norm - sq) > 1e-9 * sq:
             raise ValueError("cached norm is inconsistent with counts")
 
     @classmethod
     def from_counts(cls, doc_id: str, counts: dict[str, int]) -> "BowVector":
-        return cls(doc_id, counts, math.sqrt(sum(c * c for c in counts.values())))
+        values = counts.values()
+        return cls(doc_id, counts, math.sqrt(sum(map(mul, values, values))))
 
     def n_terms(self) -> int:
         """Total number of analyzed term occurrences."""
@@ -96,9 +103,8 @@ def vectorize(doc: Document) -> BowVector:
     Documents with no alphanumeric content cannot be compared and raise
     :class:`EmptyVectorError`.
     """
-    counts: dict[str, int] = {}
-    for tok in _TOKEN_RE.findall(doc.text.lower()):
-        counts[tok] = counts.get(tok, 0) + 1
+    # Counter keeps first-occurrence order, which the screen's term ids follow
+    counts = Counter(_TOKEN_RE.findall(doc.text.lower()))
     if not counts:
         raise EmptyVectorError(f"document {doc.id!r} has no analyzable terms")
     return BowVector.from_counts(doc.id, counts)
@@ -359,86 +365,99 @@ def dedup_exact(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()) 
     return _literal_drop(vectors, cfg, participants, bypassed, pairs)
 
 
+def _score_matrices(
+    vectors: Sequence[BowVector], participants: list[int]
+) -> tuple[np.ndarray | None, sparse.csr_matrix]:
+    """The unit-normalised participant rows, split by document frequency:
+    a dense block of the common terms (None when there are none) and a CSR
+    remainder of the rest.
+
+    Term ids follow first-seen order and every row keeps its own term
+    order, so the dense column order and the order in which the sparse
+    product sums a pair's shared terms depend only on the input."""
+    n = len(participants)
+    counts_of = [vectors[idx].counts for idx in participants]
+    terms = list(chain.from_iterable(counts_of))
+    term_col = {t: i for i, t in enumerate(dict.fromkeys(terms))}
+    ids = np.fromiter(map(term_col.__getitem__, terms), np.intp, len(terms))
+    lengths = np.fromiter(map(len, counts_of), np.intp, n)
+    weights = np.fromiter(chain.from_iterable(c.values() for c in counts_of), float, len(terms))
+    inv_norms = 1.0 / np.fromiter((vectors[idx].norm for idx in participants), float, n)
+    weights *= np.repeat(inv_norms, lengths)
+    rows = np.repeat(np.arange(n), lengths)
+
+    df = np.bincount(ids)
+    dense_cols = np.nonzero(df >= max(64, n // 64))[0]
+    # keep the dense side bounded; overflow terms fall back to the CSR path
+    max_dense = max(8, 64_000_000 // n)
+    if len(dense_cols) > max_dense:
+        order = np.argsort(df[dense_cols])[::-1]
+        dense_cols = dense_cols[order[:max_dense]]
+    dense_pos = np.full(len(df), -1)
+    dense_pos[dense_cols] = np.arange(len(dense_cols))
+    pos = dense_pos[ids]
+    in_dense = pos >= 0
+
+    dense = None
+    if len(dense_cols):
+        dense = np.zeros((n, len(dense_cols)))
+        dense[rows[in_dense], pos[in_dense]] = weights[in_dense]
+    rest = ~in_dense
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[rest], minlength=n), out=indptr[1:])
+    remainder = sparse.csr_matrix(
+        (weights[rest], ids[rest].astype(np.int32), indptr), shape=(n, len(df))
+    )
+    return dense, remainder
+
+
 def _near_threshold_pairs(
     vectors: Sequence[BowVector],
     participants: list[int],
     cfg: DedupConfig,
 ) -> dict[int, list[int]]:
     """Map each participant to the earlier participants whose approximate
-    cosine reaches threshold - margin.
+    cosine reaches threshold - margin, in ascending order.
 
-    Scores are computed blockwise. Terms are split by document frequency:
-    common terms form a dense row-normalized matrix whose block products
-    go through BLAS, rare terms stay in a CSR remainder, and the partial
-    scores are summed before thresholding. The split drops nothing, so
-    every pair is screened on its full approximate score; without it the
+    Scores are computed in row blocks, each against the columns before the
+    block's end only, since a pair is screened from its later member.
+    Terms are split by document frequency: common terms form a dense
+    row-normalized matrix whose block products go through BLAS, rare terms
+    stay in a CSR remainder, and the sparse partial score of a pair is
+    added to its dense one before thresholding. The split drops nothing,
+    so every pair is screened on its full approximate score; without it the
     sparse product degenerates on corpora where boilerplate terms make
     nearly all pairs overlap."""
     n = len(participants)
     if n == 0:
         return {}
-    term_col: dict[str, int] = {}
-    df: list[int] = []
-    for idx in participants:
-        for term in vectors[idx].counts:
-            col = term_col.get(term)
-            if col is None:
-                term_col[term] = len(df)
-                df.append(1)
-            else:
-                df[col] += 1
-    if not term_col:
-        return {}
+    dense, remainder = _score_matrices(vectors, participants)
 
-    df_arr = np.asarray(df)
-    dense_cols = np.nonzero(df_arr >= max(64, n // 64))[0]
-    # keep the dense side bounded; overflow terms fall back to the CSR path
-    max_dense = max(8, 64_000_000 // n)
-    if len(dense_cols) > max_dense:
-        order = np.argsort(df_arr[dense_cols])[::-1]
-        dense_cols = dense_cols[order[:max_dense]]
-    dense_pos = {int(c): k for k, c in enumerate(dense_cols.tolist())}
-
-    dense = np.zeros((n, len(dense_pos))) if dense_pos else None
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for row, idx in enumerate(participants):
-        v = vectors[idx]
-        inv = 1.0 / v.norm
-        for term, count in v.counts.items():
-            pos = dense_pos.get(term_col[term])
-            if pos is not None:
-                dense[row, pos] = count * inv
-            else:
-                indices.append(term_col[term])
-                data.append(count * inv)
-        indptr.append(len(indices))
-    remainder = sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int64)),
-        shape=(n, len(term_col)),
-    )
-    remainder_t = remainder.T.tocsr()
-
+    part = np.asarray(participants)
     cutoff = cfg.threshold - _SCORE_MARGIN
+    block = min(BLOCK_ROWS, n)
+    buf = np.empty(block * n)
+    upper = np.triu(np.ones((block, block), dtype=bool))
     out: dict[int, list[int]] = {}
-    scores_buf = np.empty((min(BLOCK_ROWS, n), n))
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        scores = scores_buf[: stop - start]
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        size = (stop - start) * stop
+        flat = buf[:size]
+        scores = flat.reshape(stop - start, stop)
         if dense is not None:
-            np.dot(dense[start:stop], dense.T, out=scores)
+            np.dot(dense[start:stop], dense[:stop].T, out=scores)
         else:
             scores.fill(0.0)
-        sub = (remainder[start:stop] @ remainder_t).tocoo()
+        sub = remainder[start:stop] @ remainder[:stop].T
         if sub.nnz:
-            scores[sub.row, sub.col] += sub.data
-        rows, cols = np.nonzero(scores >= cutoff)
-        lower = cols < rows + start
-        for r, c in zip((rows[lower] + start).tolist(), cols[lower].tolist()):
-            out.setdefault(participants[r], []).append(participants[c])
-    for lst in out.values():
-        lst.sort()
+            at = np.repeat(np.arange(0, size, stop), np.diff(sub.indptr))
+            at += sub.indices
+            flat[at] += sub.data
+        # drop each pair with itself and the pairs a later block owns; -inf,
+        # not 0, because a threshold within the margin gives a cutoff <= 0
+        np.copyto(scores[:, start:], -np.inf, where=upper[: stop - start, : stop - start])
+        for r in np.flatnonzero(scores.max(axis=1) >= cutoff).tolist():
+            out[participants[start + r]] = part[np.flatnonzero(scores[r] >= cutoff)].tolist()
     return out
 
 

@@ -316,7 +316,8 @@ def command_objective(command: str) -> Objective:
     ``--learning-rate``, ``--batch-size``, ``--warmup-steps`` flags and
     exported as HPO_* environment variables. It must print
     ``step=<int> value=<float>`` lines while training and a terminal
-    ``final=<float>`` line, exiting 0. On pruning the process is
+    ``final=<float>`` line, exiting 0. When the trial is pruned, or any
+    other exception ends it while the output is read, the process is
     terminated. A non-zero exit raises a ``RuntimeError`` that quotes the
     last line the command wrote to stderr.
     """
@@ -337,10 +338,9 @@ def command_objective(command: str) -> Objective:
         final: float | None = None
         # stderr goes to a file: a second pipe could fill up and block the
         # command while stdout is read line by line
-        with tempfile.TemporaryFile() as stderr:
-            proc = subprocess.Popen(
-                argv, stdout=subprocess.PIPE, stderr=stderr, text=True, env=env
-            )
+        with tempfile.TemporaryFile() as stderr, subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=stderr, text=True, env=env
+        ) as proc:
             try:
                 assert proc.stdout is not None
                 for line in proc.stdout:
@@ -351,9 +351,10 @@ def command_objective(command: str) -> Objective:
                     m = _FINAL_LINE.match(line)
                     if m:
                         final = float(m.group(1))
-            except TrialPruned:
+            except BaseException:
+                # pruned, or the report failed: the trial is over either way;
+                # leaving the with block closes the pipe and waits
                 proc.terminate()
-                proc.wait()
                 raise
             code = proc.wait()
             if code != 0:

@@ -1,8 +1,13 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from medcorpus import synth
 from medcorpus.anonymize import (
+    _MONTH_INITIALS,
+    _MONTHS,
     DATE_WILDCARD,
     KIND_DATE,
     KIND_NAME,
@@ -45,6 +50,12 @@ def test_month_name_dates():
 
 def test_month_name_case_insensitive():
     assert surfaces(detect_dates("seit märz 2022")) == ["märz 2022"]
+
+
+def test_month_initials_are_every_character_that_ignorecase_matches():
+    initials = "".join(sorted({m[0] for m in _MONTHS.split("|")}))
+    text = "".join(chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF)
+    assert set(re.findall(f"[{initials}]", text, re.IGNORECASE)) == set(_MONTH_INITIALS)
 
 
 def test_day_month_range_validation():

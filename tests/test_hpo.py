@@ -388,6 +388,25 @@ def test_command_objective_terminates_pruned_process(tmp_path):
     assert time.monotonic() - start < 20
 
 
+def test_command_objective_terminates_process_of_failed_trial(tmp_path):
+    # a repeated step makes Trial.report raise ValueError, not TrialPruned
+    marker = tmp_path / "finished"
+    script = tmp_path / "obj.py"
+    script.write_text(
+        "import time\n"
+        "print('step=1 value=0.1', flush=True)\n"
+        "print('step=1 value=0.2', flush=True)\n"
+        "time.sleep(2)\n"
+        f"open({str(marker)!r}, 'w').close()\n"
+        "print('final=0.5', flush=True)\n"
+    )
+    study = run_study(SearchSpace(), command_objective(f"python3 {script}"), n_trials=1, seed=0)
+    assert study.trials[0].state == "failed"
+    assert study.trials[0].error.startswith("ValueError: ")
+    time.sleep(3)
+    assert not marker.exists()
+
+
 def test_command_objective_nonzero_exit(tmp_path):
     script = tmp_path / "obj.py"
     script.write_text("import sys\nprint('step=1 value=0.1')\nsys.exit(3)\n")

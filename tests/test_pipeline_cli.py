@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -313,6 +316,22 @@ def test_pipeline_manifest_hash_tracks_config(tmp_path):
     by_name = lambda m: {s.name: s.config_hash for s in m.stages}
     assert by_name(first)["dedup"] != by_name(second)["dedup"]
     assert by_name(first)["clean"] == by_name(second)["clean"]
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg adds about a tenth of a second to every CLI start
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, medcorpus.cli; print('scipy.linalg' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --- CLI exit codes ---------------------------------------------------------

@@ -1,0 +1,179 @@
+"""The lower-triangle screen of ``dedup._near_threshold_pairs`` against the
+screen it replaced, which scores every row block against all columns and
+adds the sparse product through its COO coordinates.
+
+The reference below is that function unchanged. Both must return the same
+candidate map: the same keys in the same order, each with the same list.
+"""
+
+from typing import Sequence
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
+
+from medcorpus import dedup
+from medcorpus.dedup import (
+    _SCORE_MARGIN,
+    BLOCK_ROWS,
+    BowVector,
+    DedupConfig,
+    _near_threshold_pairs,
+    _split_participants,
+    vectorize,
+)
+from medcorpus.synth import pii_corpus, radiology_corpus
+
+
+# --- reference: full-width blocks with a COO scatter -----------------------
+
+
+def reference_near_threshold_pairs(
+    vectors: Sequence[BowVector],
+    participants: list[int],
+    cfg: DedupConfig,
+) -> dict[int, list[int]]:
+    """Map each participant to the earlier participants whose approximate
+    cosine reaches threshold - margin.
+
+    Scores are computed blockwise. Terms are split by document frequency:
+    common terms form a dense row-normalized matrix whose block products
+    go through BLAS, rare terms stay in a CSR remainder, and the partial
+    scores are summed before thresholding. The split drops nothing, so
+    every pair is screened on its full approximate score; without it the
+    sparse product degenerates on corpora where boilerplate terms make
+    nearly all pairs overlap."""
+    n = len(participants)
+    if n == 0:
+        return {}
+    term_col: dict[str, int] = {}
+    df: list[int] = []
+    for idx in participants:
+        for term in vectors[idx].counts:
+            col = term_col.get(term)
+            if col is None:
+                term_col[term] = len(df)
+                df.append(1)
+            else:
+                df[col] += 1
+    if not term_col:
+        return {}
+
+    df_arr = np.asarray(df)
+    dense_cols = np.nonzero(df_arr >= max(64, n // 64))[0]
+    # keep the dense side bounded; overflow terms fall back to the CSR path
+    max_dense = max(8, 64_000_000 // n)
+    if len(dense_cols) > max_dense:
+        order = np.argsort(df_arr[dense_cols])[::-1]
+        dense_cols = dense_cols[order[:max_dense]]
+    dense_pos = {int(c): k for k, c in enumerate(dense_cols.tolist())}
+
+    dense = np.zeros((n, len(dense_pos))) if dense_pos else None
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for row, idx in enumerate(participants):
+        v = vectors[idx]
+        inv = 1.0 / v.norm
+        for term, count in v.counts.items():
+            pos = dense_pos.get(term_col[term])
+            if pos is not None:
+                dense[row, pos] = count * inv
+            else:
+                indices.append(term_col[term])
+                data.append(count * inv)
+        indptr.append(len(indices))
+    remainder = sparse.csr_matrix(
+        (np.asarray(data), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int64)),
+        shape=(n, len(term_col)),
+    )
+    remainder_t = remainder.T.tocsr()
+
+    cutoff = cfg.threshold - _SCORE_MARGIN
+    out: dict[int, list[int]] = {}
+    scores_buf = np.empty((min(BLOCK_ROWS, n), n))
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        scores = scores_buf[: stop - start]
+        if dense is not None:
+            np.dot(dense[start:stop], dense.T, out=scores)
+        else:
+            scores.fill(0.0)
+        sub = (remainder[start:stop] @ remainder_t).tocoo()
+        if sub.nnz:
+            scores[sub.row, sub.col] += sub.data
+        rows, cols = np.nonzero(scores >= cutoff)
+        lower = cols < rows + start
+        for r, c in zip((rows[lower] + start).tolist(), cols[lower].tolist()):
+            out.setdefault(participants[r], []).append(participants[c])
+    for lst in out.values():
+        lst.sort()
+    return out
+
+
+
+# --- differential tests -----------------------------------------------------
+
+
+def assert_same_screen(vectors: list[BowVector], cfg: DedupConfig) -> None:
+    participants, _ = _split_participants(vectors, cfg)
+    got = _near_threshold_pairs(vectors, participants, cfg)
+    want = reference_near_threshold_pairs(vectors, participants, cfg)
+    assert list(got.items()) == list(want.items())
+
+
+def vectors_of(docs) -> list[BowVector]:
+    return [vectorize(d) for d in docs]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_screen_matches_reference_on_radiology_reports(seed):
+    assert_same_screen(vectors_of(radiology_corpus(2000, 0.19, seed=seed).documents), DedupConfig())
+
+
+def test_screen_matches_reference_on_boilerplate_notes():
+    notes = pii_corpus(700, seed=0, names_per_doc=1).documents
+    assert_same_screen(vectors_of(notes), DedupConfig())
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [DedupConfig(threshold=1.0), DedupConfig(threshold=1e-7), DedupConfig(max_doc_words=40)],
+    ids=["threshold-1", "threshold-1e-7", "max-doc-words"],
+)
+@pytest.mark.parametrize("block_rows", [7, BLOCK_ROWS])
+def test_screen_matches_reference_at_edge_settings(cfg, block_rows):
+    # below a threshold of the margin every earlier participant is a
+    # candidate, so a pair with itself or a later one would show up
+    vectors = vectors_of(radiology_corpus(300, 0.19, seed=3).documents)
+    with mock.patch.object(dedup, "BLOCK_ROWS", block_rows):
+        assert_same_screen(vectors, cfg)
+
+
+_counts = st.dictionaries(
+    st.sampled_from([f"t{i}" for i in range(12)]),
+    st.integers(min_value=1, max_value=5),
+    min_size=1,
+    max_size=6,
+)
+# A term in each of 64 or more documents goes to the dense block, so the
+# larger corpora score their boilerplate term through BLAS and the rest
+# through the sparse product.
+_with_boilerplate = st.builds(lambda b, c: {"b": b, **c}, st.integers(1, 5), _counts)
+_corpora = st.lists(_counts, max_size=30) | st.lists(_with_boilerplate, min_size=64, max_size=90)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _corpora,
+    st.sampled_from([1, 3, 7]),
+    st.sampled_from([1e-7, 0.5, 0.75, 1.0]),
+    st.sampled_from([None, 8]),
+)
+def test_screen_matches_reference_on_small_blocks(count_dicts, block_rows, threshold, max_words):
+    vectors = [BowVector.from_counts(f"d{i}", c) for i, c in enumerate(count_dicts)]
+    cfg = DedupConfig(threshold=threshold, max_doc_words=max_words)
+    with mock.patch.object(dedup, "BLOCK_ROWS", block_rows):
+        assert_same_screen(vectors, cfg)
