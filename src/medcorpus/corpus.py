@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, replace
 from datetime import date as _date
 from importlib import resources
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
-SENTENCE_TERMINATORS = ".!?;"
+# a terminator and the whitespace after it; sre's \s is str.isspace()
+_TERMINATOR_RUN = re.compile(r"[.!?;]\s*")
+# json.loads pairs escaped surrogates, so one left in a decoded string is unpaired
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 REJECT_TOO_SHORT = "too-short"
 REJECT_TOO_FEW_PAGES = "too-few-pages"
@@ -94,8 +99,9 @@ def load_documents(
 ) -> LoadResult:
     """Read a JSONL corpus file.
 
-    The file is UTF-8, optionally with a byte order mark. Malformed lines
-    are reported in the result, never dropped silently. ``source``
+    The file is UTF-8, optionally with a byte order mark. Malformed lines,
+    among them a line whose strings hold an unpaired surrogate, are
+    reported in the result, never dropped silently. ``source``
     supplies the source kind for lines that do not carry one. Ids are taken
     from the file or synthesized as ``<source>:<line-number>``; a repeated
     id is an error for the later line. To apply that rule across several
@@ -111,8 +117,7 @@ def load_documents(
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                doc = _document_from_obj(obj, source, line_no)
+                doc = _document_from_obj(_loads(line), source, line_no)
             except (ValueError, RecursionError) as exc:
                 errors.append(LoadError(line_no, str(exc)))
                 continue
@@ -124,18 +129,57 @@ def load_documents(
     return LoadResult(documents, errors)
 
 
-def document_to_obj(doc: Document) -> dict:
-    obj: dict = {"id": doc.id, "source": doc.source, "text": doc.text}
+def document_line(doc: Document) -> str:
+    """The JSONL line of ``doc``, newline included: the keys ``id``,
+    ``source``, ``text`` and, when set, ``date``, ``patient_ref`` and
+    ``meta``, as ``json.dumps(..., ensure_ascii=False)`` writes them."""
+    line = (
+        f'{{"id": {_json_str(doc.id)}, "source": {_json_str(doc.source)}, '
+        f'"text": {_json_str(doc.text)}'
+    )
     if doc.doc_date is not None:
-        obj["date"] = doc.doc_date.isoformat()
+        line += f', "date": "{doc.doc_date.isoformat()}"'
     if doc.patient_ref is not None:
-        obj["patient_ref"] = doc.patient_ref
+        line += f', "patient_ref": {_json_str(doc.patient_ref)}'
     if doc.metadata:
-        obj["meta"] = doc.metadata
-    return obj
+        line += f', "meta": {json.dumps(doc.metadata, ensure_ascii=False)}'
+    return line + "}\n"
 
 
 # --- the file layer: every artifact write and list or JSONL read -----------
+
+
+def _surrogate_path(value) -> list | None:
+    """The keys and indices down to the first string in the decoded JSON
+    ``value``, key or value, that holds a surrogate; None if none does."""
+    if isinstance(value, str):
+        return [] if _SURROGATE.search(value) else None
+    if isinstance(value, list):
+        value = dict(enumerate(value))
+    if not isinstance(value, dict):
+        return None  # a number, a boolean or null
+    for key, child in value.items():
+        if isinstance(key, str) and _SURROGATE.search(key):
+            return [key]
+        below = _surrogate_path(child)
+        if below is not None:
+            return [key, *below]
+    return None
+
+
+def _loads(text: str):
+    """``json.loads(text)`` for an input file: a string holding an unpaired
+    surrogate, which no UTF-8 artifact can hold, is a ``ValueError`` that
+    says where it is."""
+    value = json.loads(text)
+    # only a \u escape makes a surrogate; "\\" alone is a memchr, far cheaper
+    # than the two-character search on non-ASCII text
+    if "\\" in text and "\\u" in text:
+        path = _surrogate_path(value)
+        if path is not None:
+            where = "".join(f"[{key!r}]" for key in path) or "the value"
+            raise ValueError(f"unpaired surrogate in {where}")
+    return value
 
 
 @contextmanager
@@ -177,8 +221,8 @@ def write_jsonl(path: str | Path, rows: Iterable) -> None:
 
 
 def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
-    """One JSON object per line, in ``docs`` order."""
-    write_jsonl(path, (document_to_obj(doc) for doc in docs))
+    """One :func:`document_line` per document, in ``docs`` order."""
+    write_text(path, map(document_line, docs))
 
 
 def json_text(obj) -> str:
@@ -204,7 +248,7 @@ def read_json(path: str | Path):
     """One JSON document; a parse error names the file."""
     with open_text(path) as fh:
         try:
-            return json.load(fh)
+            return _loads(fh.read())
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -229,7 +273,7 @@ def read_jsonl(path: str | Path, parse: Callable[[object], object]) -> list:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    rows.append(parse(json.loads(line)))
+                    rows.append(parse(_loads(line)))
                 except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return rows
@@ -245,21 +289,15 @@ def split_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
-        if text[i] in SENTENCE_TERMINATORS:
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j == n or (j > i + 1 and text[j].isupper()):
-                seg = text[start : i + 1].strip()
-                if seg:
-                    sentences.append(seg)
-                start = j
-                i = j
-                continue
-        i += 1
+    for run in _TERMINATOR_RUN.finditer(text):
+        end = run.end()
+        # the run ends the text, or it took whitespace and an uppercase letter follows
+        if end == n or (end > run.start() + 1 and text[end].isupper()):
+            seg = text[start : run.start() + 1].strip()
+            if seg:
+                sentences.append(seg)
+            start = end
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)

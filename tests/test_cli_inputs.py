@@ -122,8 +122,12 @@ _KEYS = st.sampled_from(
     ["id", "text", "labels", "scores", "tags", "patient_ref", "source", "date", "path",
      "inputs", "learning_rate", "batch_size", "warmup_steps", "policies", "gazetteer"]
 ) | st.text(max_size=4)
+# a string may hold an unpaired surrogate, which JSON can escape but UTF-8 cannot encode
+_STRING = st.text(max_size=6) | st.tuples(
+    st.text(max_size=3), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), st.text(max_size=3)
+).map("".join)
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | _STRING,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
     max_leaves=6,
 )
@@ -183,7 +187,8 @@ def _corrupt(data, kind: str, text: str) -> bytes:
     rows = [json.loads(line) for line in text.splitlines()]
     at = data.draw(st.integers(0, len(rows) - 1))
     rows[at] = _mutate_json(data, rows[at])
-    return jsonl(*rows).encode("utf-8")
+    # an unpaired surrogate, left raw by ensure_ascii=False, becomes its JSON escape
+    return jsonl(*rows).encode("utf-8", "backslashreplace")
 
 
 def _write_inputs(base: Path, command: str) -> None:

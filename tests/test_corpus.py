@@ -24,6 +24,7 @@ from medcorpus.corpus import (
     compute_corpus_stats,
     count_words,
     default_german_stopwords,
+    document_line,
     load_documents,
     policy_presets,
     read_json,
@@ -89,6 +90,52 @@ def test_resplitting_is_stable(sentences):
     assert split_sentences(" ".join(first)) == first
 
 
+def split_sentences_by_loop(text):
+    """The character loop ``split_sentences`` replaced, kept as its oracle."""
+    sentences = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in ".!?;":
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            if j == n or (j > i + 1 and text[j].isupper()):
+                seg = text[start : i + 1].strip()
+                if seg:
+                    sentences.append(seg)
+                start = j
+                i = j
+                continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+_SPLIT_PIECES = [
+    *".!?;", ".x", "1", "42",
+    " ", "  ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", "\u2028", "\u3000",
+    "a", "wort", "A", "Wort", "Ä", "ẞ", "ǅ", "ß",
+]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(_SPLIT_PIECES), max_size=30).map("".join))
+def test_split_sentences_matches_character_loop(text):
+    assert split_sentences(text) == split_sentences_by_loop(text)
+
+
+def test_regex_whitespace_is_str_isspace():
+    # split_sentences lets \s decide where a terminator's whitespace run ends
+    space = re.compile(r"\s")
+    mismatched = [c for c in map(chr, range(0x110000)) if bool(space.match(c)) != c.isspace()]
+    assert mismatched == []
+
+
 # --- loading ---------------------------------------------------------------
 
 
@@ -110,6 +157,42 @@ def test_load_documents_roundtrip(tmp_path):
     write_documents(out, result.documents)
     again = load_documents(out)
     assert again.documents == result.documents
+
+
+def document_to_obj(doc):
+    """The object ``write_documents`` used to dump, kept as the oracle of
+    :func:`document_line`."""
+    obj = {"id": doc.id, "source": doc.source, "text": doc.text}
+    if doc.doc_date is not None:
+        obj["date"] = doc.doc_date.isoformat()
+    if doc.patient_ref is not None:
+        obj["patient_ref"] = doc.patient_ref
+    if doc.metadata:
+        obj["meta"] = doc.metadata
+    return obj
+
+
+_FIELD_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "ä", "\U0001f600", "\U00010000"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=8,
+)
+
+
+@settings(max_examples=500)
+@given(
+    st.builds(
+        Document,
+        id=_FIELD_TEXT.filter(bool),
+        source=_FIELD_TEXT,
+        text=_FIELD_TEXT,
+        doc_date=st.none() | st.dates(),
+        patient_ref=st.none() | _FIELD_TEXT,
+        metadata=st.dictionaries(_FIELD_TEXT, _FIELD_TEXT, max_size=3),
+    )
+)
+def test_document_line_matches_json_dumps(doc):
+    assert document_line(doc) == json.dumps(document_to_obj(doc), ensure_ascii=False) + "\n"
 
 
 def test_write_documents_failure_keeps_old_file(tmp_path):
@@ -292,6 +375,39 @@ def test_load_documents_accepts_byte_order_mark(tmp_path):
     result = load_documents(path)
     assert [d.id for d in result.documents] == ["a", "b"]
     assert result.errors == []
+
+
+@pytest.mark.parametrize(
+    "where, row",
+    [
+        ("['text']", r'{"id": "a", "source": "x", "text": "Kein \ud800 Befund."}'),
+        ("['id']", r'{"id": "\udc00", "source": "x", "text": "t"}'),
+        ("['source']", r'{"text": "t", "source": "x\ud83d"}'),
+        ("['patient_ref']", r'{"id": "a", "source": "x", "text": "t", "patient_ref": "\udfff"}'),
+        ("['meta']['k']", r'{"id": "a", "source": "x", "text": "t", "meta": {"k": "\ude00v"}}'),
+        (r"['meta']['\ud800']", r'{"id": "a", "source": "x", "text": "t", "meta": {"\ud800": "v"}}'),
+    ],
+)
+def test_load_documents_unpaired_surrogate_is_a_load_error(tmp_path, where, row):
+    path = tmp_path / "in.jsonl"
+    paired = r'{"id": "p", "source": "x", "text": "Paar \ud83d\ude00 \\ud800 gut."}'
+    path.write_text(paired + "\n" + row + "\n", encoding="utf-8")
+    result = load_documents(path)
+    assert [d.text for d in result.documents] == ["Paar \U0001f600 \\ud800 gut."]
+    assert [(e.line_no, e.message) for e in result.errors] == [(2, f"unpaired surrogate in {where}")]
+
+
+def test_json_readers_reject_an_unpaired_surrogate(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(r'{"inputs": [{"path": "c.jsonl", "source": "\ud800"}]}' "\n", encoding="utf-8")
+    message = "unpaired surrogate in ['inputs'][0]['source']"
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: {message}')}$"):
+        read_json(path)
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: line 1: {message}')}$"):
+        read_jsonl(path, lambda value: value)
+    path.write_text(r'"\udfff"', encoding="utf-8")
+    with pytest.raises(ValueError, match="unpaired surrogate in the value$"):
+        read_json(path)
 
 
 def test_document_requires_id():

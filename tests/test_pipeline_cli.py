@@ -396,6 +396,43 @@ def test_cli_ingest_reports_bad_lines(tmp_path, capsys):
     assert obj["errors"][0]["line"] == 2
 
 
+def write_corpus_with_unpaired_surrogate(path):
+    path.write_text(
+        '{"id": "b", "source": "x", "text": "Ein Befund."}\n'
+        r'{"id": "a", "source": "x", "text": "Kein \ud800 Befund."}' "\n",
+        encoding="utf-8",
+    )
+
+
+SURROGATE_ERROR = "unpaired surrogate in ['text']"
+
+
+def test_cli_ingest_unpaired_surrogate_is_a_bad_line(tmp_path, capsys):
+    raw = tmp_path / "raw.jsonl"
+    write_corpus_with_unpaired_surrogate(raw)
+    out = tmp_path / "out.jsonl"
+    report = tmp_path / "report.json"
+    assert cli.main(["ingest", str(raw), "--out", str(out), "--report", str(report)]) == 0
+    assert [d["id"] for d in read_jsonl(out)] == ["b"]
+    assert json.loads(report.read_text())["errors"] == [{"line": 2, "message": SURROGATE_ERROR}]
+
+
+def test_cli_stats_unpaired_surrogate_names_file_and_line(tmp_path, capsys):
+    raw = tmp_path / "raw.jsonl"
+    write_corpus_with_unpaired_surrogate(raw)
+    assert cli.main(["stats", str(raw)]) == 2
+    assert f"{raw}: 1 malformed lines (first at line 2: {SURROGATE_ERROR})" in capsys.readouterr().err
+
+
+def test_pipeline_unpaired_surrogate_is_a_load_error(tmp_path, capsys):
+    write_corpus_with_unpaired_surrogate(tmp_path / "c.jsonl")
+    code, out = run_cli_pipeline(tmp_path, {"inputs": [{"path": "c.jsonl"}]})
+    assert code == 0
+    errors = json.loads((out / "load_report.json").read_text())["errors"]
+    assert errors == [{"path": "c.jsonl", "line": 2, "message": SURROGATE_ERROR}]
+    assert [d["id"] for d in read_jsonl(out / "anonymized.jsonl")] == ["b"]
+
+
 def test_cli_stats_stdout(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     write_jsonl(corpus, [{"id": "d", "source": "s", "text": "Ein Satz. Noch einer."}])
@@ -638,6 +675,7 @@ BAD_GOLD_ROWS = [
     {"id": "d2", "text": "t", "labels": [["A"]]},
     {"id": "d2", "text": "t", "labels": []},
     {"id": "d2", "text": "t", "labels": ["A"], "patient_ref": 7},
+    {"id": "d2", "text": "t", "labels": ["A\udc00"]},
 ]
 
 
