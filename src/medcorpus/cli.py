@@ -223,17 +223,31 @@ def cmd_bench_split(args) -> int:
     return 0
 
 
+def _read_labels(path: str | None) -> list[str] | None:
+    """The labels of a ``--labels`` file, None without one; a label given
+    twice is a ``ValueError`` that names the file."""
+    if not path:
+        return None
+    labels = corpus_mod.read_lines(path)
+    try:
+        metrics_mod.check_labels(labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return labels
+
+
 def cmd_eval_clf(args) -> int:
     gold = bench.load_examples_jsonl(args.gold)
     preds = metrics_mod.load_classification_predictions(
         ((ex.doc_id, ex.labels) for ex in gold),
         corpus_mod.read_jsonl(args.pred, metrics_mod.prediction_scores),
-        labels=corpus_mod.read_lines(args.labels) if args.labels else None,
+        labels=_read_labels(args.labels),
     )
     report = metrics_mod.multilabel_report(preds, **_given(threshold=args.threshold))
     metrics_mod.write_report(report, args.report, args.tsv)
     m = report.macro
-    auroc_part = f"{m.auroc:.2f}" if m.auroc is not None else "n/a"
+    undefined = len(report.excluded.get("auroc", ())) == len(report.classes)
+    auroc_part = "n/a" if undefined else f"{m.auroc:.2f}"
     print(
         f"macro AUROC {auroc_part}  F1 {m.f1:.2f}  "
         f"P {m.precision:.2f}  R {m.recall:.2f} over {len(report.classes)} classes"
@@ -252,7 +266,7 @@ def cmd_eval_ner(args) -> int:
     report = metrics_mod.ner_token_report(
         [ex.tags for ex in gold],
         [tags for tags, _ in rows],
-        labels=corpus_mod.read_lines(args.labels) if args.labels else None,
+        labels=_read_labels(args.labels),
         token_scores=[scores for _, scores in rows] if have_scores else None,
     )
     metrics_mod.write_report(report, args.report, args.tsv)

@@ -68,13 +68,13 @@ class EmptyVectorError(ValueError):
 class BowVector:
     """Sparse term-count vector for one document.
 
-    ``counts`` holds strictly positive counts only and ``norm`` caches the
-    Euclidean norm of the counts.
+    ``counts`` holds strictly positive counts only, so ``norm``, the
+    Euclidean norm of the counts computed here, is positive.
     """
 
     doc_id: str
     counts: dict[str, int]
-    norm: float
+    norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.counts:
@@ -82,14 +82,7 @@ class BowVector:
         values = self.counts.values()
         if min(values) <= 0:
             raise ValueError("bag-of-words counts must be positive")
-        sq = sum(map(mul, values, values))
-        if abs(self.norm * self.norm - sq) > 1e-9 * sq:
-            raise ValueError("cached norm is inconsistent with counts")
-
-    @classmethod
-    def from_counts(cls, doc_id: str, counts: dict[str, int]) -> "BowVector":
-        values = counts.values()
-        return cls(doc_id, counts, math.sqrt(sum(map(mul, values, values))))
+        self.norm = math.sqrt(sum(map(mul, values, values)))
 
     def n_terms(self) -> int:
         """Total number of analyzed term occurrences."""
@@ -104,10 +97,7 @@ def vectorize(doc: Document) -> BowVector:
     :class:`EmptyVectorError`.
     """
     # Counter keeps first-occurrence order, which the screen's term ids follow
-    counts = Counter(_TOKEN_RE.findall(doc.text.lower()))
-    if not counts:
-        raise EmptyVectorError(f"document {doc.id!r} has no analyzable terms")
-    return BowVector.from_counts(doc.id, counts)
+    return BowVector(doc.id, Counter(_TOKEN_RE.findall(doc.text.lower())))
 
 
 def cosine_similarity(a: BowVector, b: BowVector) -> float:
@@ -116,8 +106,6 @@ def cosine_similarity(a: BowVector, b: BowVector) -> float:
     Iteration order is canonicalized on (len, doc_id) so that swapping the
     arguments cannot change the floating point result.
     """
-    if a.norm <= 0.0 or b.norm <= 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vectors")
     if (len(a.counts), a.doc_id) > (len(b.counts), b.doc_id):
         a, b = b, a
     other = b.counts
@@ -217,8 +205,6 @@ def _validate_vectors(vectors: Sequence[BowVector]) -> None:
         if v.doc_id in seen:
             raise ValueError(f"duplicate doc_id {v.doc_id!r} in dedup input")
         seen.add(v.doc_id)
-        if v.norm <= 0.0:
-            raise ValueError(f"zero-norm vector for {v.doc_id!r}")
 
 
 def _split_participants(

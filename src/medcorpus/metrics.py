@@ -1,13 +1,18 @@
 """Evaluation metrics for multi-label classification and token-level NER.
 
-Conventions: every zero-denominator metric is reported as 0.0 and the
-class is excluded from the corresponding macro mean; AUROC over a
-single-class truth vector is undefined in the same way. Reports carry
-percent-scaled values and are rendered with two decimals.
+One rule covers every undefined value, and :func:`_row` alone applies it:
+a zero denominator, or AUROC over a single-class truth vector, leaves a
+metric undefined; F1 is undefined only when precision and recall both are,
+and 0.0 when just one is undefined or both are zero. A row shows an
+undefined value as 0.0, each macro mean skips the classes where its metric
+is undefined, and ``excluded`` names them. AUROC is absent, not undefined,
+when the input has no scores (hard-tag NER): None in every row, excluded
+nowhere. Reports carry percent-scaled values, rendered with two decimals.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -54,8 +59,8 @@ def prf(predictions: Sequence[bool], truths: Sequence[bool]) -> tuple[float, flo
     """
     if len(predictions) != len(truths):
         raise ValueError("predictions and truths must be parallel")
-    counts = _confusion(predictions, truths)
-    return tuple(0.0 if v is None else v / 100.0 for v in _class_prf(*counts))
+    row, _ = _row(None, *_confusion(predictions, truths), 0, scored=False)
+    return row.precision / 100.0, row.recall / 100.0, row.f1 / 100.0
 
 
 def _confusion(predictions: Iterable[bool], truths: Iterable[bool]) -> tuple[int, int, int]:
@@ -71,23 +76,12 @@ def _confusion(predictions: Iterable[bool], truths: Iterable[bool]) -> tuple[int
     return tp, fp, fn
 
 
-def _class_prf(tp: int, fp: int, fn: int) -> tuple[float | None, float | None, float | None]:
-    """Percent-scaled precision, recall and F1 of one report class.
-
-    A zero denominator gives None, so the class drops out of that macro
-    mean. F1 is None only when precision and recall both are; it is 0.0
-    when just one is undefined or both are zero.
-    """
-    precision = tp / (tp + fp) * 100.0 if tp + fp else None
-    recall = tp / (tp + fn) * 100.0 if tp + fn else None
-    f1: float | None
-    if precision is not None and recall is not None and precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    elif precision is None and recall is None:
-        f1 = None
-    else:
-        f1 = 0.0
-    return precision, recall, f1
+def _area(scores: Sequence[float], truths: Sequence[bool]) -> float | None:
+    """Percent-scaled AUROC, None where it is undefined."""
+    try:
+        return auroc(scores, truths) * 100.0
+    except UndefinedMetricError:
+        return None
 
 
 @dataclass
@@ -100,6 +94,30 @@ class ClassMetrics:
     precision: float
     recall: float
     support: int
+
+
+_METRICS = ("auroc", "f1", "precision", "recall")
+
+
+def _row(
+    area: float | None, tp: int, fp: int, fn: int, support: int, scored: bool = True
+) -> tuple[ClassMetrics, dict[str, float | None]]:
+    """The report row of one class and its percent-scaled metrics, each
+    None where undefined (see the module docstring). ``area`` is the AUROC;
+    without ``scored`` it is absent and not among the metrics."""
+    precision = tp / (tp + fp) * 100.0 if tp + fp else None
+    recall = tp / (tp + fn) * 100.0 if tp + fn else None
+    if precision is None and recall is None:
+        f1 = None
+    elif precision and recall:
+        f1 = 2 * precision * recall / (precision + recall)
+    else:
+        f1 = 0.0
+    metrics = {"f1": f1, "precision": precision, "recall": recall}
+    if scored:
+        metrics["auroc"] = area
+    shown = {key: 0.0 if value is None else value for key, value in metrics.items()}
+    return ClassMetrics(auroc=shown.pop("auroc", None), support=support, **shown), metrics
 
 
 @dataclass
@@ -117,6 +135,35 @@ class MetricReport:
         return obj
 
 
+def _report(
+    results: Mapping[str, tuple[ClassMetrics, dict[str, float | None]]],
+    scored: bool,
+    macro_support: int,
+    micro: ClassMetrics | None = None,
+) -> MetricReport:
+    """The report over the :func:`_row` results of its classes: each macro
+    mean skips the classes where its metric is undefined and ``excluded``
+    names them. Without ``scored`` the input has no scores, and the macro
+    AUROC is absent."""
+    means: dict[str, float | None] = {"auroc": None}
+    excluded: dict[str, list[str]] = {}
+    for key in _METRICS if scored else _METRICS[1:]:
+        defined = [m[key] for _, m in results.values() if m[key] is not None]
+        means[key] = sum(defined) / len(defined) if defined else 0.0
+        if len(defined) < len(results):
+            excluded[key] = sorted(cls for cls, (_, m) in results.items() if m[key] is None)
+    per_class = {cls: row for cls, (row, _) in results.items()}
+    macro = ClassMetrics(**means, support=macro_support)
+    return MetricReport(list(per_class), per_class, macro, micro, excluded)
+
+
+def check_labels(labels: Iterable[str]) -> None:
+    """A label given twice is a ``ValueError``: it would repeat a report row."""
+    repeated = [label for label, n in Counter(labels).items() if n > 1]
+    if repeated:
+        raise ValueError(f"label {repeated[0]!r} is given twice")
+
+
 @dataclass
 class ScoredPredictions:
     """Per-class parallel score/truth vectors over the same instances."""
@@ -126,46 +173,10 @@ class ScoredPredictions:
     truths: dict[str, list[bool]]
 
     def __post_init__(self) -> None:
+        check_labels(self.classes)
         for cls in self.classes:
             if len(self.scores[cls]) != len(self.truths[cls]):
                 raise ValueError(f"scores and truths differ in length for {cls!r}")
-
-
-def _macro(values: Mapping[str, float | None]) -> tuple[float, list[str]]:
-    """Mean over classes where the metric is defined; returns the excluded."""
-    defined = [v for v in values.values() if v is not None]
-    excluded = sorted(c for c, v in values.items() if v is None)
-    if not defined:
-        return 0.0, excluded
-    return sum(defined) / len(defined), excluded
-
-
-def _summarize(
-    values: Mapping[str, tuple[float | None, float | None, float | None, float | None]],
-    supports: Mapping[str, int],
-    macro_support: int,
-) -> tuple[dict[str, ClassMetrics], ClassMetrics, dict[str, list[str]]]:
-    """Report rows from per-class (auroc, precision, recall, f1), None where
-    undefined. A class row shows an undefined value as 0.0; each macro mean
-    skips the classes where its metric is undefined, and ``excluded`` lists
-    them per metric."""
-    per_class = {
-        cls: ClassMetrics(
-            auroc=0.0 if area is None else area,
-            f1=0.0 if f1 is None else f1,
-            precision=0.0 if precision is None else precision,
-            recall=0.0 if recall is None else recall,
-            support=supports[cls],
-        )
-        for cls, (area, precision, recall, f1) in values.items()
-    }
-    means: dict[str, float] = {}
-    excluded: dict[str, list[str]] = {}
-    for i, key in enumerate(("auroc", "precision", "recall", "f1")):
-        means[key], ex = _macro({cls: v[i] for cls, v in values.items()})
-        if ex:
-            excluded[key] = ex
-    return per_class, ClassMetrics(support=macro_support, **means), excluded
 
 
 def multilabel_report(
@@ -175,19 +186,13 @@ def multilabel_report(
 
     A score at or above the threshold counts as a predicted positive.
     """
-    values = {}
-    supports = {}
+    results = {}
     for cls in predictions.classes:
         scores = predictions.scores[cls]
         truths = predictions.truths[cls]
-        try:
-            area: float | None = auroc(scores, truths) * 100.0
-        except UndefinedMetricError:
-            area = None
-        values[cls] = (area, *_class_prf(*_confusion((s >= threshold for s in scores), truths)))
-        supports[cls] = sum(truths)
-    per_class, macro, excluded = _summarize(values, supports, sum(supports.values()))
-    return MetricReport(list(predictions.classes), per_class, macro, None, excluded)
+        tp, fp, fn = _confusion((s >= threshold for s in scores), truths)
+        results[cls] = _row(_area(scores, truths), tp, fp, fn, tp + fn)
+    return _report(results, True, sum(row.support for row, _ in results.values()))
 
 
 def tag_class(tag: str) -> str | None:
@@ -208,7 +213,8 @@ def ner_token_report(
 ) -> MetricReport:
     """Token-level metrics after collapsing BIO prefixes; O tokens are not a
     class. ``micro`` aggregates counts over all classes ("global" row).
-    With ``token_scores`` a per-class AUROC over tokens is added."""
+    With ``token_scores`` a per-class AUROC over tokens is added. A label
+    given twice is a ``ValueError``."""
     if len(gold_tags) != len(pred_tags):
         raise ValueError("gold and predictions have different document counts")
     flat_gold: list[str | None] = []
@@ -216,50 +222,36 @@ def ner_token_report(
     for doc_idx, (g, p) in enumerate(zip(gold_tags, pred_tags)):
         if len(g) != len(p):
             raise ValueError(f"tag length mismatch in document {doc_idx}")
-        flat_gold.extend(tag_class(t) for t in g)
-        flat_pred.extend(tag_class(t) for t in p)
+        flat_gold.extend(map(tag_class, g))
+        flat_pred.extend(map(tag_class, p))
     flat_scores: list[Mapping[str, float]] | None = None
     if token_scores is not None:
         flat_scores = [sc for doc in token_scores for sc in doc]
         if len(flat_scores) != len(flat_gold):
             raise ValueError("token_scores do not align with the tag sequences")
-    observed = sorted(
-        {c for c in flat_gold if c is not None} | {c for c in flat_pred if c is not None}
-    )
-    classes = list(labels) if labels is not None else observed
-    values = {}
-    supports = {}
-    total_tp = total_fp = total_fn = 0
+    # one count table of (gold class, predicted class) pairs; None is O
+    pairs = Counter(zip(flat_gold, flat_pred))
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for (g, p), n in pairs.items():
+        if g == p:
+            tp[g] += n
+        else:
+            fp[p] += n
+            fn[g] += n
+    observed = {c for pair in pairs for c in pair} - {None}
+    classes = list(labels) if labels is not None else sorted(observed)
+    check_labels(classes)
+    scored = flat_scores is not None
+    results = {}
     for cls in classes:
-        tp, fp, fn = _confusion((p == cls for p in flat_pred), (g == cls for g in flat_gold))
-        total_tp, total_fp, total_fn = total_tp + tp, total_fp + fp, total_fn + fn
-        area: float | None = None
-        if flat_scores is not None:
-            truths = [g == cls for g in flat_gold]
-            scores = [sc.get(cls, 0.0) for sc in flat_scores]
-            try:
-                area = auroc(scores, truths) * 100.0
-            except UndefinedMetricError:
-                area = None
-        values[cls] = (area, *_class_prf(tp, fp, fn))
-        supports[cls] = sum(1 for g in flat_gold if g == cls)
-    micro_p, micro_r, micro_f = (
-        0.0 if v is None else v for v in _class_prf(total_tp, total_fp, total_fn)
-    )
-    micro = ClassMetrics(
-        auroc=None,
-        f1=micro_f,
-        precision=micro_p,
-        recall=micro_r,
-        support=sum(1 for g in flat_gold if g is not None),
-    )
-    per_class, macro, excluded = _summarize(values, supports, micro.support)
-    if flat_scores is None:
-        # hard tags carry no scores: AUROC is absent rather than undefined
-        excluded.pop("auroc", None)
-        for row in (*per_class.values(), macro):
-            row.auroc = None
-    return MetricReport(classes, per_class, macro, micro, excluded)
+        area = None
+        if scored:
+            area = _area([sc.get(cls, 0.0) for sc in flat_scores], [g == cls for g in flat_gold])
+        results[cls] = _row(area, tp[cls], fp[cls], fn[cls], tp[cls] + fn[cls], scored)
+    support = sum(n for (g, _), n in pairs.items() if g is not None)
+    totals = (sum(c[cls] for cls in classes) for c in (tp, fp, fn))
+    micro, _ = _row(None, *totals, support, scored=False)
+    return _report(results, scored, support, micro)
 
 
 def _fmt(value: float | None) -> str:

@@ -22,7 +22,7 @@ from medcorpus.dedup import (
 
 
 def vec(doc_id, counts):
-    return BowVector.from_counts(doc_id, counts)
+    return BowVector(doc_id, counts)
 
 
 def doc(doc_id, text):
@@ -86,14 +86,9 @@ def test_cosine_symmetric_and_bounded(ca, cb):
     assert 0.0 <= ab <= 1.0
 
 
-def test_norm_consistency_enforced():
-    with pytest.raises(ValueError):
-        BowVector(doc_id="d", counts={"x": 2}, norm=1.0)
-
-
 def test_counts_must_be_positive():
     with pytest.raises(ValueError):
-        BowVector.from_counts("d", {"x": 0})
+        BowVector("d", {"x": 0})
 
 
 # --- fixed small corpora ----------------------------------------------------

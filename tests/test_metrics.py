@@ -301,6 +301,15 @@ def test_ner_token_scores_enable_auroc():
     assert report.macro.auroc == pytest.approx(100.0, abs=1e-12)
 
 
+def test_repeated_label_is_an_error():
+    with pytest.raises(ValueError, match="'X' is given twice"):
+        ner_token_report([["B-X", "O", "B-Y", "B-Y"]], [["B-X", "O", "O", "B-Y"]], ["X", "X", "Y"])
+    with pytest.raises(ValueError, match="'A' is given twice"):
+        ScoredPredictions(["A", "A"], {"A": [0.5]}, {"A": [True]})
+    with pytest.raises(ValueError, match="'A' is given twice"):
+        load_classification_predictions([("d1", {"A"})], [], labels=["A", "B", "A"])
+
+
 # --- rendering and IO -------------------------------------------------------
 
 

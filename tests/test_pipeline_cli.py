@@ -656,6 +656,48 @@ def test_cli_eval_clf_labels_file_with_byte_order_mark(tmp_path, capsys):
     assert sorted(json.loads(report.read_text())["per_class"]) == ["A", "B"]
 
 
+def test_cli_eval_clf_undefined_macro_auroc_prints_na(tmp_path, capsys):
+    gold_path = tmp_path / "gold.jsonl"
+    write_examples_jsonl(
+        gold_path, [LabeledExample("d1", "t", {"A"}), LabeledExample("d2", "t", {"A"})]
+    )
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(pred_path, [{"id": "d1", "scores": {"A": 0.9}}, {"id": "d2", "scores": {"A": 0.2}}])
+    report = tmp_path / "report.json"
+    code = cli.main(
+        ["eval", "clf", "--gold", str(gold_path), "--pred", str(pred_path), "--report", str(report)]
+    )
+    assert code == 0
+    assert json.loads(report.read_text())["excluded"]["auroc"] == ["A"]
+    assert "macro AUROC n/a  F1 66.67" in capsys.readouterr().out
+
+
+def write_repeated_labels(tmp_path):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("X\nX\nY\n", encoding="utf-8")
+    return labels
+
+
+def test_cli_eval_clf_repeated_label_names_labels_file(tmp_path, capsys):
+    gold_path = tmp_path / "gold.jsonl"
+    write_examples_jsonl(
+        gold_path, [LabeledExample("d1", "t", {"X"}), LabeledExample("d2", "t", {"Y"})]
+    )
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(pred_path, [{"id": "d1", "scores": {"X": 0.9}}, {"id": "d2", "scores": {"Y": 0.8}}])
+    labels = write_repeated_labels(tmp_path)
+    report = tmp_path / "report.json"
+    code = cli.main(
+        [
+            "eval", "clf", "--gold", str(gold_path), "--pred", str(pred_path),
+            "--labels", str(labels), "--report", str(report),
+        ]
+    )
+    assert code == 2
+    assert f"error: {labels}: label 'X' is given twice" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cli_eval_clf_malformed_gold_line_names_file_and_line(tmp_path, capsys):
     gold_path = tmp_path / "gold.jsonl"
     gold_path.write_text('{"id": "d1", "text": "t", "labels": ["A"]}\n{bad\n', encoding="utf-8")
@@ -734,6 +776,26 @@ def test_cli_eval_ner(tmp_path, capsys):
     obj = json.loads(report.read_text())
     assert obj["per_class"]["PER"]["precision"] == 100.0
     assert obj["per_class"]["PER"]["recall"] == 50.0
+
+
+def test_cli_eval_ner_repeated_label_names_labels_file(tmp_path, capsys):
+    gold_path = tmp_path / "gold.conll"
+    write_conll(
+        gold_path, [TokenLabeledExample("a", ["w", "x", "y", "z"], ["B-X", "O", "B-Y", "B-Y"])]
+    )
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(pred_path, [{"id": "a", "tags": ["B-X", "O", "O", "B-Y"]}])
+    labels = write_repeated_labels(tmp_path)
+    report = tmp_path / "ner.json"
+    code = cli.main(
+        [
+            "eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path),
+            "--labels", str(labels), "--report", str(report),
+        ]
+    )
+    assert code == 2
+    assert f"error: {labels}: label 'X' is given twice" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_eval_ner_count_mismatch(tmp_path, capsys):

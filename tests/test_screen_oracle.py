@@ -173,7 +173,7 @@ _corpora = st.lists(_counts, max_size=30) | st.lists(_with_boilerplate, min_size
     st.sampled_from([None, 8]),
 )
 def test_screen_matches_reference_on_small_blocks(count_dicts, block_rows, threshold, max_words):
-    vectors = [BowVector.from_counts(f"d{i}", c) for i, c in enumerate(count_dicts)]
+    vectors = [BowVector(f"d{i}", c) for i, c in enumerate(count_dicts)]
     cfg = DedupConfig(threshold=threshold, max_doc_words=max_words)
     with mock.patch.object(dedup, "BLOCK_ROWS", block_rows):
         assert_same_screen(vectors, cfg)
