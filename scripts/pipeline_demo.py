@@ -9,9 +9,9 @@ byte-identical, and prints the per-stage document counts.
 import argparse
 import dataclasses
 import filecmp
-import json
 from pathlib import Path
 
+from medcorpus.corpus import write_documents, write_text
 from medcorpus.pipeline import run_pipeline
 from medcorpus.synth import pii_corpus
 
@@ -29,11 +29,8 @@ def main() -> None:
     # verbatim copies so the dedup stage has something to remove
     for doc in docs[: args.n_docs // 10]:
         docs.append(dataclasses.replace(doc, id=doc.id + "-copy"))
-    with open(args.out / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for doc in docs:
-            row = {"id": doc.id, "source": doc.source, "text": doc.text}
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-    (args.out / "names.txt").write_text("\n".join(planted.names) + "\n", encoding="utf-8")
+    write_documents(args.out / "corpus.jsonl", docs)
+    write_text(args.out / "names.txt", ["\n".join(planted.names) + "\n"])
 
     config = {
         "inputs": [{"path": "corpus.jsonl"}],

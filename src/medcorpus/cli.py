@@ -262,12 +262,14 @@ def cmd_eval_ner(args) -> int:
         raise ValueError(
             f"prediction count {len(rows)} does not match gold document count {len(gold)}"
         )
-    have_scores = rows and all(scores is not None for _, scores in rows)
+    token_scores = [scores for _, scores in rows if scores is not None]
+    if token_scores and len(token_scores) != len(rows):
+        raise ValueError(f"{args.pred}: 'scores' given on some prediction rows but not on others")
     report = metrics_mod.ner_token_report(
         [ex.tags for ex in gold],
         [tags for tags, _ in rows],
         labels=_read_labels(args.labels),
-        token_scores=[scores for _, scores in rows] if have_scores else None,
+        token_scores=token_scores or None,
     )
     metrics_mod.write_report(report, args.report, args.tsv)
     assert report.micro is not None

@@ -324,7 +324,8 @@ class CleanPolicy:
     A page is a fixed character budget, not a layout page. The stopword
     sentence filter deletes every sentence that contains no stopword at all
     and re-joins the remainder; length thresholds are then checked on the
-    filtered text so that cleaning is idempotent.
+    filtered text so that cleaning is idempotent. ``stopword_list`` may be
+    given as any collection of strings; it is kept as a frozenset.
     """
 
     min_chars: int = 0
@@ -334,6 +335,7 @@ class CleanPolicy:
     stopword_list: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "stopword_list", frozenset(self.stopword_list))
         if self.min_chars < 0 or self.min_pages < 0:
             raise ValueError("thresholds must be >= 0")
         if self.chars_per_page <= 0:
@@ -346,11 +348,11 @@ class CleanPolicy:
         return cls(min_chars=100)
 
     @classmethod
-    def thesis(cls, stopwords: frozenset[str] | None = None) -> "CleanPolicy":
+    def thesis(cls) -> "CleanPolicy":
         return cls(
             min_pages=15,
             stopword_sentence_filter=True,
-            stopword_list=stopwords or default_german_stopwords(),
+            stopword_list=default_german_stopwords(),
         )
 
 

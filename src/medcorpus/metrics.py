@@ -213,22 +213,25 @@ def ner_token_report(
 ) -> MetricReport:
     """Token-level metrics after collapsing BIO prefixes; O tokens are not a
     class. ``micro`` aggregates counts over all classes ("global" row).
-    With ``token_scores`` a per-class AUROC over tokens is added. A label
-    given twice is a ``ValueError``."""
+    With ``token_scores``, one score map per token of each document, a
+    per-class AUROC over tokens is added. A label given twice is a
+    ``ValueError``."""
     if len(gold_tags) != len(pred_tags):
         raise ValueError("gold and predictions have different document counts")
+    if token_scores is not None and len(token_scores) != len(gold_tags):
+        raise ValueError("token_scores and gold have different document counts")
     flat_gold: list[str | None] = []
     flat_pred: list[str | None] = []
     for doc_idx, (g, p) in enumerate(zip(gold_tags, pred_tags)):
         if len(g) != len(p):
             raise ValueError(f"tag length mismatch in document {doc_idx}")
+        if token_scores is not None and len(token_scores[doc_idx]) != len(g):
+            raise ValueError(f"token_scores do not align with the tags of document {doc_idx}")
         flat_gold.extend(map(tag_class, g))
         flat_pred.extend(map(tag_class, p))
     flat_scores: list[Mapping[str, float]] | None = None
     if token_scores is not None:
         flat_scores = [sc for doc in token_scores for sc in doc]
-        if len(flat_scores) != len(flat_gold):
-            raise ValueError("token_scores do not align with the tag sequences")
     # one count table of (gold class, predicted class) pairs; None is O
     pairs = Counter(zip(flat_gold, flat_pred))
     tp, fp, fn = Counter(), Counter(), Counter()
@@ -298,18 +301,20 @@ def prediction_scores(row: object) -> tuple[str, Mapping[str, float]]:
 
 def ner_prediction(row: object) -> tuple[list[str], list[Mapping[str, float]] | None]:
     """The tags and, when given, the per-token score maps of one NER
-    prediction row: an object with a ``tags`` list and an optional
-    ``scores`` list of objects of numbers. A row of another shape is a
-    ``ValueError``."""
+    prediction row: an object with a ``tags`` list of strings and an
+    optional ``scores`` list of objects of numbers, one per tag. A row of
+    another shape is a ``ValueError``."""
     tags = row.get("tags") if isinstance(row, Mapping) else None
-    if not isinstance(tags, list):
-        raise ValueError("NER prediction row without 'tags' list")
+    if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+        raise ValueError("NER prediction row without a 'tags' list of strings")
     scores = row.get("scores")
     if scores is not None and not (
         isinstance(scores, list) and all(_is_score_map(sc) for sc in scores)
     ):
         raise ValueError("NER prediction 'scores' must be a list of objects of numbers")
-    return [str(t) for t in tags], scores
+    if scores is not None and len(scores) != len(tags):
+        raise ValueError(f"NER prediction has {len(tags)} tags but {len(scores)} score maps")
+    return tags, scores
 
 
 def load_classification_predictions(

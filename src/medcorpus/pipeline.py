@@ -106,39 +106,48 @@ def _config_hash(obj) -> str:
     ).hexdigest()
 
 
-# the keys each part of a pipeline config may hold; any other key is an error
-_CONFIG_KEYS = {
-    "pipeline config": {"inputs", "clean", "dedup", "anonymize", "stats"},
-    "input entry": {"path", "source"},
-    "clean": {"policies"},
-    "clean policy": {
-        "min_chars", "min_pages", "chars_per_page", "stopword_sentence_filter", "stopword_list",
+# the type of the value each key of each config part may hold, as json.loads
+# gives it: float is any number, [str] an array of strings; any other key is
+# an error, and a null value counts as leaving the key out
+_CONFIG_TYPES = {
+    "pipeline config": {
+        "inputs": list, "clean": dict, "dedup": dict, "anonymize": dict, "stats": dict,
     },
-    "dedup": {"threshold", "mode", "comparison", "max_doc_words"},
-    "anonymize": {"gazetteer", "case_insensitive", "name_wildcard", "date_wildcard"},
-    "stats": {"binary_mb"},
+    "input entry": {"path": str, "source": str},
+    "clean": {"policies": dict},
+    "clean policy": {
+        "min_chars": int, "min_pages": int, "chars_per_page": int,
+        "stopword_sentence_filter": bool, "stopword_list": [str],
+    },
+    "dedup": {"threshold": float, "mode": str, "comparison": str, "max_doc_words": int},
+    "anonymize": {
+        "gazetteer": str, "case_insensitive": bool, "name_wildcard": str, "date_wildcard": str,
+    },
+    "stats": {"binary_mb": bool},
+}
+_JSON_NAMES = {
+    str: "string", int: "integer", float: "number", bool: "boolean", dict: "object", list: "array"
 }
 
 
+def _has_type(value, kind) -> bool:
+    # types are compared exactly: to isinstance a bool is an int
+    if isinstance(kind, list):
+        return type(value) is list and all(_has_type(x, kind[0]) for x in value)
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
 def _checked(obj, part: str) -> dict:
-    return corpus_mod.checked_object(obj, part, _CONFIG_KEYS[part])
-
-
-def _policy_from_obj(obj: dict) -> corpus_mod.CleanPolicy:
-    """The policy a config object describes; a threshold it leaves out keeps
-    its :class:`~medcorpus.corpus.CleanPolicy` default."""
-    thresholds = {
-        key: int(value)
-        for key, value in _checked(obj, "clean policy").items()
-        if key in ("min_chars", "min_pages", "chars_per_page")
-    }
-    use_filter = bool(obj.get("stopword_sentence_filter"))
-    stopwords = obj.get("stopword_list")
-    if use_filter and stopwords is None:
-        stopwords = corpus_mod.default_german_stopwords()
-    return corpus_mod.CleanPolicy(
-        stopword_sentence_filter=use_filter, stopword_list=frozenset(stopwords or ()), **thresholds
-    )
+    """The non-null entries of the config part ``obj``; a non-object, an unknown
+    key or a value of another type than :data:`_CONFIG_TYPES` is a ``ValueError``."""
+    types = _CONFIG_TYPES[part]
+    given = {k: v for k, v in corpus_mod.checked_object(obj, part, types).items() if v is not None}
+    for key, value in given.items():
+        kind = types[key]
+        if not _has_type(value, kind):
+            expected = "array of strings" if kind == [str] else _JSON_NAMES[kind]
+            raise ValueError(f"{part} {key!r} must be a JSON {expected}, not {value!r}")
+    return given
 
 
 def run_pipeline(
@@ -157,35 +166,26 @@ def run_pipeline(
     comparable.
     """
     base = Path(config_dir)
-    try:
-        inputs = _checked(config, "pipeline config").get("inputs")
-        if not inputs:
-            raise ValueError("pipeline config has no 'inputs'")
-        for entry in inputs:
-            if not isinstance(_checked(entry, "input entry").get("path"), str):
-                raise ValueError("input entry without a 'path' string")
-        clean_cfg = _checked(config.get("clean", {}), "clean")
-        policies = corpus_mod.policy_presets()
-        policy_objs = clean_cfg.get("policies", {})
-        if not isinstance(policy_objs, dict):
-            raise ValueError("clean policies must be a JSON object")
-        for source, obj in policy_objs.items():
-            policies[source] = _policy_from_obj(obj)
-        dd_cfg_obj = _checked(config.get("dedup", {}), "dedup")
-        dd_cfg = dedup_mod.DedupConfig.from_names(**dd_cfg_obj)
-        an_cfg = _checked(config.get("anonymize", {}), "anonymize")
-        wildcards = {k: an_cfg[k] for k in ("name_wildcard", "date_wildcard") if k in an_cfg}
-        if not all(isinstance(w, str) for w in wildcards.values()):
-            raise ValueError("name_wildcard and date_wildcard must be strings")
-        gazetteer = None
-        if an_cfg.get("gazetteer"):
-            gazetteer = anon.Gazetteer.from_file(
-                base / an_cfg["gazetteer"], bool(an_cfg.get("case_insensitive", False))
-            )
-        stats_cfg = _checked(config.get("stats", {}), "stats")
-        mb_base = corpus_mod.MB_BINARY if stats_cfg.get("binary_mb") else corpus_mod.MB_DECIMAL
-    except TypeError as exc:
-        raise ValueError(f"bad value in pipeline config: {exc}") from None
+    top = _checked(config, "pipeline config")
+    inputs = [_checked(entry, "input entry") for entry in top.get("inputs", [])]
+    if not inputs or not all("path" in entry for entry in inputs):
+        raise ValueError("pipeline config needs 'inputs', each entry with a 'path'")
+    # each stage's config hash is over its section as written
+    sections = {part: top.get(part, {}) for part in ("clean", "dedup", "anonymize", "stats")}
+    cfg = {part: _checked(obj, part) for part, obj in sections.items()}
+    policies = corpus_mod.policy_presets()
+    for source, obj in cfg["clean"].get("policies", {}).items():
+        # the stopword filter without a list uses the default German stopwords
+        given = _checked(obj, "clean policy")
+        if given.get("stopword_sentence_filter"):
+            given.setdefault("stopword_list", corpus_mod.default_german_stopwords())
+        policies[source] = corpus_mod.CleanPolicy(**given)
+    dd_cfg = dedup_mod.DedupConfig.from_names(**cfg["dedup"])
+    an_cfg = cfg["anonymize"]
+    wildcards = {k: an_cfg[k] for k in ("name_wildcard", "date_wildcard") if k in an_cfg}
+    gaz_file, case_insensitive = an_cfg.get("gazetteer"), an_cfg.get("case_insensitive", False)
+    gazetteer = anon.Gazetteer.from_file(base / gaz_file, case_insensitive) if gaz_file else None
+    mb_base = corpus_mod.MB_BINARY if cfg["stats"].get("binary_mb") else corpus_mod.MB_DECIMAL
 
     # ingest; an id is unique across all inputs, a repeat is a load error
     docs: list[corpus_mod.Document] = []
@@ -219,21 +219,21 @@ def run_pipeline(
         )
 
     stage(
-        "ingest", inputs, [e["path"] for e in inputs],
+        "ingest", top["inputs"], [e["path"] for e in inputs],
         "ingested.jsonl", docs, "load_report.json", {"errors": load_errors},
         n_in=len(docs) + len(load_errors), details={"n_errors": len(load_errors)},
     )
 
     cleaned, rejects = corpus_mod.clean_corpus(docs, policies)
     stage(
-        "clean", clean_cfg, ["ingested.jsonl"],
+        "clean", sections["clean"], ["ingested.jsonl"],
         "cleaned.jsonl", cleaned, "reject_log.json", corpus_mod.reject_log_obj(rejects),
         n_in=len(docs), details={"n_rejected": len(rejects)},
     )
 
     deduped, reports = dedup_mod.dedup_documents(cleaned, dd_cfg)
     stage(
-        "dedup", dd_cfg_obj, ["cleaned.jsonl"],
+        "dedup", sections["dedup"], ["cleaned.jsonl"],
         "deduped.jsonl", deduped, "dedup_report.json",
         {src: r.to_obj() for src, r in reports.items()},
         n_in=len(cleaned), details={src: r.n_removed for src, r in reports.items()},
@@ -241,7 +241,7 @@ def run_pipeline(
 
     anonymized, anon_report = anon.anonymize_corpus(deduped, gazetteer, **wildcards)
     stage(
-        "anonymize", an_cfg, ["deduped.jsonl"],
+        "anonymize", sections["anonymize"], ["deduped.jsonl"],
         "anonymized.jsonl", anonymized, "anonymization_report.json", anon_report.to_obj(),
         n_in=len(deduped),
         details={
@@ -257,7 +257,7 @@ def run_pipeline(
     manifest.stages.append(
         StageRecord(
             "stats",
-            _config_hash(stats_cfg),
+            _config_hash(sections["stats"]),
             ["anonymized.jsonl"],
             ["stats.tsv", "stats.json"],
             n_in=len(anonymized),

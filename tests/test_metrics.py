@@ -292,6 +292,16 @@ def test_ner_length_mismatch_errors():
         ner_token_report([["B-X"], ["O"]], [["B-X"]])
 
 
+def test_ner_token_scores_checked_per_document():
+    # 4 score maps for 4 tokens in all, but 3 for the first document and 1 for the second
+    gold = [["B-X", "O"], ["B-X", "O"]]
+    scores = [[{"X": 0.9}, {"X": 0.1}, {"X": 0.8}], [{"X": 0.2}]]
+    with pytest.raises(ValueError, match="document 0"):
+        ner_token_report(gold, gold, token_scores=scores)
+    with pytest.raises(ValueError, match="different document counts"):
+        ner_token_report(gold, gold, token_scores=scores[:1])
+
+
 def test_ner_token_scores_enable_auroc():
     gold = [["B-X", "O", "B-X", "O"]]
     pred = [["B-X", "O", "B-X", "O"]]

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -14,13 +16,18 @@ from medcorpus.benchmark import (
     write_examples_jsonl,
 )
 from medcorpus.pipeline import (
+    _CONFIG_TYPES,
     PHASE2_LR_WARNING,
     emit_pretrain_config,
     run_pipeline,
 )
 from medcorpus.synth import benchmark_corpus
-from medcorpus.corpus import Document, write_documents
+from medcorpus.corpus import CleanPolicy, Document, write_documents
 from medcorpus.dedup import DedupConfig, dedup_exact, vectorize
+
+
+CLEAN_POLICY_KEYS = list(_CONFIG_TYPES["clean policy"])
+DEDUP_KEYS = list(_CONFIG_TYPES["dedup"])
 
 
 def write_jsonl(path, rows):
@@ -241,6 +248,28 @@ def test_pipeline_readme_config_runs(tmp_path, capsys):
         {"inputs": "corpus.jsonl"},
         {"inputs": [{"source": "ehr"}]},
         {"anonymize": {"name_wildcard": 1}},
+        # a string is not a flag, a list of strings or a count
+        {"anonymize": {"gazetteer": "names.txt", "case_insensitive": "no"}},
+        {"clean": {"policies": {"discharge": {"stopword_sentence_filter": "false"}}}},
+        {"stats": {"binary_mb": "false"}},
+        {
+            "clean": {
+                "policies": {"discharge": {"stopword_sentence_filter": True, "stopword_list": "und"}}
+            }
+        },
+        {
+            "clean": {
+                "policies": {"discharge": {"stopword_sentence_filter": True, "stopword_list": [1]}}
+            }
+        },
+        {"clean": {"policies": {"discharge": {"min_chars": "5"}}}},
+        {"inputs": [{"path": "corpus.jsonl", "source": 5}]},
+        # a boolean is not a number or a count, and a fraction is not a count
+        {"dedup": {"threshold": True}},
+        {"clean": {"policies": {"discharge": {"min_chars": 1.5}}}},
+        {"clean": {"policies": {"discharge": {"min_chars": True}}}},
+        {"dedup": {"max_doc_words": 2.5}},
+        {"dedup": {"max_doc_words": True}},
         # removed keys: empty wildcards delete
         {"anonymize": {"delete": True}},
     ],
@@ -252,6 +281,52 @@ def test_pipeline_bad_config_writes_no_artifact(tmp_path, capsys, change):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "with_nulls, without",
+    [
+        (
+            {
+                "inputs": [{"path": "corpus.jsonl", "source": None}],
+                "clean": {"policies": {"discharge": dict.fromkeys(CLEAN_POLICY_KEYS)}},
+                "dedup": dict.fromkeys(DEDUP_KEYS),
+                "anonymize": {
+                    "gazetteer": "names.txt",
+                    **dict.fromkeys(["case_insensitive", "name_wildcard", "date_wildcard"]),
+                },
+                "stats": {"binary_mb": None},
+            },
+            {
+                "inputs": [{"path": "corpus.jsonl"}],
+                "clean": {"policies": {"discharge": {}}},
+                "anonymize": {"gazetteer": "names.txt"},
+            },
+        ),
+        (
+            {
+                "inputs": [{"path": "corpus.jsonl"}],
+                **dict.fromkeys(["clean", "dedup", "anonymize", "stats"]),
+            },
+            {"inputs": [{"path": "corpus.jsonl"}]},
+        ),
+    ],
+    ids=["null-keys", "null-sections"],
+)
+def test_pipeline_null_value_counts_as_absent_key(tmp_path, with_nulls, without):
+    pipeline_fixture(tmp_path)
+    run_pipeline(with_nulls, tmp_path / "nulls", tmp_path)
+    run_pipeline(without, tmp_path / "absent", tmp_path)
+    for name in ARTIFACTS:
+        if name != "manifest.json":
+            assert (tmp_path / "nulls" / name).read_bytes() == (
+                tmp_path / "absent" / name
+            ).read_bytes(), name
+
+
+def test_pipeline_config_keys_match_what_they_configure():
+    assert set(CLEAN_POLICY_KEYS) == {f.name for f in dataclasses.fields(CleanPolicy)}
+    assert set(DEDUP_KEYS) == set(inspect.signature(DedupConfig.from_names).parameters)
 
 
 @pytest.mark.parametrize("path", ["missing.jsonl", "."])
@@ -813,6 +888,11 @@ def test_cli_eval_ner_count_mismatch(tmp_path, capsys):
         {"tags": ["O"], "scores": 5},
         {"tags": ["O"], "scores": [1]},
         {"tags": ["O"], "scores": [{"PER": None}]},
+        # one score map per tag, and every tag a string
+        {"tags": ["O"], "scores": [{}, {}]},
+        {"tags": ["O"], "scores": []},
+        {"tags": [None]},
+        {"tags": [5]},
     ],
 )
 def test_cli_eval_ner_prediction_row_of_wrong_shape_names_file_and_line(
@@ -824,6 +904,18 @@ def test_cli_eval_ner_prediction_row_of_wrong_shape_names_file_and_line(
     pred_path.write_text(f"\n{json.dumps(bad_row)}\n", encoding="utf-8")
     assert cli.main(["eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path)]) == 2
     assert f"error: {pred_path}: line 2: " in capsys.readouterr().err
+
+
+def test_cli_eval_ner_scores_on_some_rows_only_names_file(tmp_path, capsys):
+    gold_path = tmp_path / "gold.conll"
+    write_conll(
+        gold_path,
+        [TokenLabeledExample("a", ["x"], ["B-PER"]), TokenLabeledExample("b", ["y"], ["O"])],
+    )
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(pred_path, [{"tags": ["B-PER"], "scores": [{"PER": 0.9}]}, {"tags": ["O"]}])
+    assert cli.main(["eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path)]) == 2
+    assert f"error: {pred_path}: 'scores' given on some" in capsys.readouterr().err
 
 
 BAD_PREDICTION_ROWS = [
