@@ -6,12 +6,14 @@ planted name parts alone and with the parts padded by seeded filler
 entries that never occur in the text. For each size it prints the
 recognizer build, the name scan over the input, the name rescan over the
 redacted output, the date scan over the input, and the whole
-``anonymize_corpus`` call, in seconds.
+``anonymize_corpus`` call, in seconds, and the peak memory that
+``tracemalloc`` sees during a second, untimed recognizer build, in MiB.
 """
 
 import argparse
 import random
 import time
+import tracemalloc
 
 from medcorpus.anonymize import (
     Gazetteer,
@@ -34,10 +36,19 @@ def filler_entries(planted: list[str], n_entries: int, seed: int, avoid: set[str
     return sorted(entries)
 
 
+def build_peak_mib(gazetteer: Gazetteer) -> float:
+    tracemalloc.start()
+    try:
+        GazetteerRecognizer(gazetteer)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-docs", type=int, default=1000)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[2_000, 20_000])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[2_000, 20_000, 100_000])
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args()
 
@@ -47,7 +58,7 @@ def main() -> None:
 
     print(f"documents {len(pii.documents)}, planted name parts {len(pii.names)}")
     print(
-        f"{'entries':>8} {'build':>8} {'scan':>8} {'rescan':>8} {'dates':>8} "
+        f"{'entries':>8} {'build':>8} {'peak MiB':>8} {'scan':>8} {'rescan':>8} {'dates':>8} "
         f"{'anonymize':>10} {'vs first':>9}"
     )
     # compile the date patterns before the first timed call
@@ -71,11 +82,12 @@ def main() -> None:
         t5 = time.perf_counter()
         if not report.passed:
             raise SystemExit(f"{size} entries: {len(report.residuals)} documents with residuals")
+        peak = build_peak_mib(gazetteer)
         total = t3 - t2
         first = first or total
         print(
-            f"{size:>8} {t1 - t0:>8.3f} {t2 - t1:>8.3f} {t4 - t3:>8.3f} {t5 - t4:>8.3f} "
-            f"{total:>10.3f} {total / first:>8.2f}x"
+            f"{size:>8} {t1 - t0:>8.3f} {peak:>8.2f} {t2 - t1:>8.3f} {t4 - t3:>8.3f} "
+            f"{t5 - t4:>8.3f} {total:>10.3f} {total / first:>8.2f}x"
         )
 
 

@@ -18,6 +18,7 @@ check (re-detect on the output) mechanically verifiable.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Iterable, Protocol, Sequence
 
@@ -60,7 +61,12 @@ class Gazetteer:
 
     @classmethod
     def from_file(cls, path, case_insensitive: bool = False) -> "Gazetteer":
-        return cls(frozenset(read_lines(path)), case_insensitive)
+        """The entries of the list file ``path``. A file without entries is a
+        ``ValueError`` that names it: it would turn name redaction off."""
+        entries = frozenset(read_lines(path))
+        if not entries:
+            raise ValueError(f"{path}: gazetteer has no entries")
+        return cls(entries, case_insensitive)
 
 
 class NameRecognizer(Protocol):
@@ -129,8 +135,12 @@ class GazetteerRecognizer:
     not depend on the number of entries. One small regex yields candidate
     starts: a word boundary followed by an entry's first character and one of
     its second characters. From each candidate the scan extends the slice
-    from word boundary to word boundary while it is a prefix of some entry,
-    keeps the longest slice that is an entry, and resumes after it. In
+    from word boundary to word boundary while some entry extends it, keeps
+    the longest slice that is an entry, and resumes after it. One bisection
+    of the sorted entries answers both questions for a slice, since every
+    entry that extends it follows it directly in sorted order. Building the
+    recognizer costs one sort of the entries and keeps one list of them, so
+    its memory grows in proportion to the number of entries. In
     case-insensitive mode text and entries are compared after a
     length-preserving per-character fold that agrees with ``re.IGNORECASE``.
     """
@@ -143,12 +153,13 @@ class GazetteerRecognizer:
         self.gazetteer = gazetteer
         self.wildcard = wildcard
         self._fold = _FoldTable() if gazetteer.case_insensitive else None
-        entries = {self._key(e) for e in gazetteer.entries}
-        self._entries = entries
-        self._prefixes = {e[:k] for e in entries for k in range(1, len(e))}
+        entries = gazetteer.entries
+        if self._fold is not None:
+            entries = {self._key(e) for e in entries}
+        self._sorted = sorted(entries)
         seconds: dict[str, set[str]] = {}
-        for e in entries:
-            seconds.setdefault(e[0], set()).add(e[1:2])
+        for head in {e[:2] for e in entries}:
+            seconds.setdefault(head[0], set()).add(head[1:])
         branches = [
             (re.escape(first), "" if "" in nexts else "[%s]" % re.escape("".join(sorted(nexts))))
             for first, nexts in sorted(seconds.items())
@@ -172,14 +183,18 @@ class GazetteerRecognizer:
 
     def _match_end(self, text: str, keys: str, start: int) -> int | None:
         """End of the longest entry at ``start`` that ends on a word boundary."""
+        entries = self._sorted
         best = None
         pos = start + 1
         while pos <= len(text) and (m := _BOUNDARY.search(text, pos)) is not None:
             end = m.start()
             piece = keys[start:end]
-            if piece in self._entries:
+            # piece is an entry if it sits just before i, and the entries that
+            # extend it, if any, begin at i
+            i = bisect_right(entries, piece)
+            if i and entries[i - 1] == piece:
                 best = end
-            if piece not in self._prefixes:
+            if i == len(entries) or not entries[i].startswith(piece):
                 break
             pos = end + 1
         return best
@@ -331,7 +346,7 @@ def redact(text: str, spans: Sequence[RedactionSpan]) -> tuple[str, list[Redacti
         if span.start < cursor:
             raise InvalidSpanError("overlapping spans survived merging")
         surface = data[span.start : span.end].decode("utf-8")
-        applied.append(_dc_replace(span, surface=surface))
+        applied.append(RedactionSpan(span.start, span.end, span.kind, surface, span.replacement))
         parts.append(data[cursor : span.start])
         parts.append(span.replacement.encode("utf-8"))
         cursor = span.end

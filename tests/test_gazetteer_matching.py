@@ -1,6 +1,7 @@
 """GazetteerRecognizer against the alternation-regex recognizer it replaced,
 the case fold against re.IGNORECASE, and byte offsets against str.encode."""
 
+import random
 import re
 
 import pytest
@@ -120,6 +121,41 @@ def test_detect_matches_regex_oracle(case):
 )
 def test_detect_matches_regex_oracle_on_fixed_cases(entries, text, ci):
     assert_same_spans(entries, text, ci)
+
+
+def _shared_prefix_entries(n: int, rng: random.Random) -> list[str]:
+    """``n`` entries grown from a few stems, so that many extend one another
+    and sorted neighbours often share all but their last characters."""
+    entries = {"Ann", "Anna", "Annabel", "Anna-Lena", "Anna Maria", "Anna Mar"}
+    stems = ["Ann", "Mar", "Sch", "Mül", "Wei", "Jür", "Öz", "ſu", "K"]
+    tails = [
+        "a", "e", "el", "ie", "ß", "ı", "İ", "-Lena", " Maria", " Mar", "mann", "er", "S", ".",
+    ]
+    while len(entries) < n:
+        entry = rng.choice(stems)
+        for _ in range(rng.randint(0, 3)):
+            entry += rng.choice(tails)
+        entries.add(entry)
+    return sorted(entries)
+
+
+@pytest.mark.parametrize("ci", [False, True])
+def test_detect_matches_regex_oracle_on_many_shared_prefixes(ci):
+    # the hypothesis test draws few entries; here the entry just after a
+    # slice in sorted order often shares a prefix with it without extending it
+    rng = random.Random(13)
+    entries = _shared_prefix_entries(2000, rng)
+    chunks = []
+    for _ in range(1500):
+        entry = rng.choice(entries)
+        chunk = rng.choice([
+            entry,
+            entry[: rng.randint(1, len(entry))],
+            entry + rng.choice(["a", "l", "-", " M", " Maria", "ß", "er"]),
+            _variant(entry, rng.randint(0, 4)),
+        ])
+        chunks.append(chunk + rng.choice(SEPARATORS))
+    assert_same_spans(entries, "".join(chunks), ci)
 
 
 def test_empty_entry_rejected():

@@ -283,6 +283,16 @@ def test_pipeline_bad_config_writes_no_artifact(tmp_path, capsys, change):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_pipeline_gazetteer_without_entries_writes_no_artifact(tmp_path, capsys):
+    # an empty name list would turn name redaction off without a word
+    config, _ = pipeline_fixture(tmp_path)
+    (tmp_path / "names.txt").write_text("\n  \n\n", encoding="utf-8")
+    code, out = run_cli_pipeline(tmp_path, config)
+    assert code == 2
+    assert "names.txt" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "with_nulls, without",
     [
@@ -588,6 +598,18 @@ def test_cli_anonymize_residual_free_run(tmp_path, capsys):
     assert code == 0
     text = json.loads(out.read_text())["text"]
     assert text == "Frau <NAME> kam am <DATE> wieder."
+
+
+def test_cli_anonymize_gazetteer_without_entries_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    write_jsonl(corpus, [{"id": "d", "source": "s", "text": "Anna kam am 3.4.2021."}])
+    gaz = tmp_path / "empty.txt"
+    gaz.write_text("\n\n", encoding="utf-8")
+    out = tmp_path / "anon.jsonl"
+    code = cli.main(["anonymize", str(corpus), "--gazetteer", str(gaz), "--out", str(out)])
+    assert code == 2
+    assert "empty.txt" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_vocab_tokenize_fertility(tmp_path, capsys):
