@@ -3,10 +3,12 @@
 
 Generates a radiology-style corpus with a known planted duplicate rate,
 runs the blocked screening engine, and prints the recovered rate next
-to the wall-clock split between generation, vectorization, and dedup.
+to the wall-clock split between generation, vectorization, and dedup,
+and the peak resident memory of the process.
 """
 
 import argparse
+import resource
 import time
 
 from medcorpus.dedup import DedupConfig, dedup_indexed, vectorize
@@ -36,6 +38,8 @@ def main() -> None:
     print(f"generate      {t1 - t0:6.1f}s")
     print(f"vectorize     {t2 - t1:6.1f}s")
     print(f"dedup         {t3 - t2:6.1f}s")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak rss      {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:6.0f} MiB")
 
 
 if __name__ == "__main__":

@@ -362,10 +362,10 @@ def _residual_scan(text: str, recognizer: NameRecognizer | None) -> list[Redacti
 
 
 def verify(redacted: str, gazetteer: Gazetteer | None) -> list[RedactionSpan]:
-    """Re-run detection on redacted text; any hit is a residual."""
-    recognizer = None
-    if gazetteer is not None and gazetteer.entries:
-        recognizer = GazetteerRecognizer(gazetteer)
+    """Re-run detection on redacted text; any hit is a residual. Without a
+    gazetteer only dates are detected; one without entries is a
+    ``ValueError``."""
+    recognizer = None if gazetteer is None else GazetteerRecognizer(gazetteer)
     return _residual_scan(redacted, recognizer)
 
 
@@ -421,11 +421,11 @@ def anonymize_corpus(
     """Redact names and dates across a corpus.
 
     Empty wildcards delete the matched surfaces. Every output document is
-    re-scanned and hits are recorded as residuals.
+    re-scanned and hits are recorded as residuals. Without a gazetteer only
+    dates are redacted; a gazetteer without entries is a ``ValueError``, not
+    a silent pass.
     """
-    recognizer = None
-    if gazetteer is not None and gazetteer.entries:
-        recognizer = GazetteerRecognizer(gazetteer, name_wildcard)
+    recognizer = None if gazetteer is None else GazetteerRecognizer(gazetteer, name_wildcard)
     out_docs: list[Document] = []
     report = AnonymizationReport()
     for doc in docs:

@@ -6,7 +6,7 @@ Two engines produce identical results:
   document. Quadratic, trivially auditable, the reference that the tests
   hold the indexed engine to.
 * :func:`dedup_indexed` screens all pairs on blocked approximate scores
-  (dense BLAS products for common terms, a sparse product for rare ones,
+  (dense BLAS products for common terms, an inverted index for rare ones,
   each block of documents against itself and the documents before it) and
   only verifies pairs whose approximate score is within a safety margin of
   the threshold. Every decision is made by the same
@@ -32,7 +32,6 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Document
 
@@ -47,7 +46,7 @@ MODE_LITERAL = "literal-drop"
 MODES = {"representative": MODE_REPRESENTATIVE, "literal": MODE_LITERAL}
 COMPARISONS = {"strict": COMPARISON_STRICT, "inclusive": COMPARISON_INCLUSIVE}
 
-# Sparse scores are float64 dot products of unit vectors; their error is
+# Screen scores are float64 dot products of unit vectors; their error is
 # orders of magnitude below this margin, so a pair skipped here can never
 # exceed the threshold under exact verification.
 _SCORE_MARGIN = 1e-6
@@ -353,14 +352,16 @@ def dedup_exact(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()) 
 
 def _score_matrices(
     vectors: Sequence[BowVector], participants: list[int]
-) -> tuple[np.ndarray | None, sparse.csr_matrix]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """The unit-normalised participant rows, split by document frequency:
-    a dense block of the common terms (None when there are none) and a CSR
-    remainder of the rest.
+    a dense block of the common terms (None when there are none) and the
+    entries of the rest, the rare entries, as three arrays: row, term id
+    and weight.
 
-    Term ids follow first-seen order and every row keeps its own term
-    order, so the dense column order and the order in which the sparse
-    product sums a pair's shared terms depend only on the input."""
+    Term ids follow first-seen order. The rare entries are in row order and
+    every row keeps its own term order, so the dense column order and the
+    order in which the screen sums a pair's shared rare terms depend only
+    on the input."""
     n = len(participants)
     counts_of = [vectors[idx].counts for idx in participants]
     terms = list(chain.from_iterable(counts_of))
@@ -374,7 +375,7 @@ def _score_matrices(
 
     df = np.bincount(ids)
     dense_cols = np.nonzero(df >= max(64, n // 64))[0]
-    # keep the dense side bounded; overflow terms fall back to the CSR path
+    # keep the dense side bounded; overflow terms fall back to the rare side
     max_dense = max(8, 64_000_000 // n)
     if len(dense_cols) > max_dense:
         order = np.argsort(df[dense_cols])[::-1]
@@ -389,12 +390,7 @@ def _score_matrices(
         dense = np.zeros((n, len(dense_cols)))
         dense[rows[in_dense], pos[in_dense]] = weights[in_dense]
     rest = ~in_dense
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[rest], minlength=n), out=indptr[1:])
-    remainder = sparse.csr_matrix(
-        (weights[rest], ids[rest].astype(np.int32), indptr), shape=(n, len(df))
-    )
-    return dense, remainder
+    return dense, rows[rest], ids[rest], weights[rest]
 
 
 def _near_threshold_pairs(
@@ -408,16 +404,34 @@ def _near_threshold_pairs(
     Scores are computed in row blocks, each against the columns before the
     block's end only, since a pair is screened from its later member.
     Terms are split by document frequency: common terms form a dense
-    row-normalized matrix whose block products go through BLAS, rare terms
-    stay in a CSR remainder, and the sparse partial score of a pair is
-    added to its dense one before thresholding. The split drops nothing,
-    so every pair is screened on its full approximate score; without it the
-    sparse product degenerates on corpora where boilerplate terms make
-    nearly all pairs overlap."""
+    row-normalized matrix whose block products go through BLAS, and rare
+    terms go into an inverted index. Each rare entry of a row adds its
+    product with every earlier posting of its term to the pair's dense
+    score, in the row's term order, before thresholding. The split drops
+    nothing, so every pair is screened on its full approximate score;
+    without it a boilerplate term's postings would hold nearly every row,
+    and its contributions would grow with the square of the corpus."""
     n = len(participants)
     if n == 0:
         return {}
-    dense, remainder = _score_matrices(vectors, participants)
+    dense, rows, ids, weights = _score_matrices(vectors, participants)
+
+    # The inverted index. Postings are the rare entries grouped by term, in
+    # row order within a term, as the sort is stable. Entry e meets the
+    # earlier[e] postings of its term before its own, from first[e] on:
+    # the earlier rows that hold the term.
+    postings = np.argsort(ids, kind="stable")
+    post_rows, post_weights = rows[postings], weights[postings]
+    df = np.bincount(ids)
+    first = (np.cumsum(df) - df)[ids]
+    earlier = np.empty_like(postings)
+    earlier[postings] = np.arange(len(postings))
+    earlier -= first
+    # the contributions of the entries before each entry, and where each
+    # entry's postings start less that count
+    ahead = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(earlier, out=ahead[1:])
+    offset = first - ahead[:-1]
 
     part = np.asarray(participants)
     cutoff = cfg.threshold - _SCORE_MARGIN
@@ -434,11 +448,22 @@ def _near_threshold_pairs(
             np.dot(dense[start:stop], dense[:stop].T, out=scores)
         else:
             scores.fill(0.0)
-        sub = remainder[start:stop] @ remainder[:stop].T
-        if sub.nnz:
-            at = np.repeat(np.arange(0, size, stop), np.diff(sub.indptr))
-            at += sub.indices
-            flat[at] += sub.data
+        # add the block's rare contributions in entry order, in runs of at
+        # most one score row, which stay in cache; an entry has fewer than
+        # `stop`, so each run takes one entry at least. np.add.at on the
+        # flat block takes numpy's one-dimensional fast path.
+        lo, hi = np.searchsorted(rows, (start, stop))
+        while lo < hi:
+            end = min(hi, int(np.searchsorted(ahead, ahead[lo] + stop, "right")) - 1)
+            take = earlier[lo:end]
+            post = np.repeat(offset[lo:end], take)
+            post += np.arange(ahead[lo], ahead[end])
+            at = np.repeat((rows[lo:end] - start) * stop, take)
+            at += post_rows[post]
+            contrib = post_weights[post]
+            contrib *= np.repeat(weights[lo:end], take)
+            np.add.at(flat, at, contrib)
+            lo = end
         # drop each pair with itself and the pairs a later block owns; -inf,
         # not 0, because a threshold within the margin gives a cutoff <= 0
         np.copyto(scores[:, start:], -np.inf, where=upper[: stop - start, : stop - start])

@@ -121,6 +121,16 @@ def test_empty_gazetteer_rejected():
         GazetteerRecognizer(Gazetteer(entries=frozenset()))
 
 
+def test_empty_gazetteer_rejected_by_corpus_and_verify():
+    # an empty gazetteer built in code is not "no gazetteer": it would let
+    # every name through with a passing report
+    empty = Gazetteer(frozenset())
+    with pytest.raises(ValueError, match="^gazetteer has no entries$"):
+        anonymize_corpus([Document(id="d", source="s", text="Anna kam.")], empty)
+    with pytest.raises(ValueError, match="^gazetteer has no entries$"):
+        verify("Anna kam.", empty)
+
+
 def test_gazetteer_from_file(tmp_path):
     path = tmp_path / "names.txt"
     path.write_text("Anna\nBernd Müller\n\n", encoding="utf-8")

@@ -21,7 +21,7 @@ from medcorpus.pipeline import (
     emit_pretrain_config,
     run_pipeline,
 )
-from medcorpus.synth import benchmark_corpus
+from medcorpus.synth import benchmark_corpus, radiology_corpus
 from medcorpus.corpus import CleanPolicy, Document, write_documents
 from medcorpus.dedup import DedupConfig, dedup_exact, vectorize
 
@@ -403,20 +403,47 @@ def test_pipeline_manifest_hash_tracks_config(tmp_path):
     assert by_name(first)["clean"] == by_name(second)["clean"]
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg adds about a tenth of a second to every CLI start
+def _run_src_python(code, *args, cwd=None):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, medcorpus.cli; print('scipy.linalg' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse alone adds about a quarter second and 20 MiB to every
+    # CLI start, and no command needs scipy
+    proc = _run_src_python(
+        "import sys, medcorpus.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_dedup_runs_with_scipy_blocked(tmp_path, capsys):
+    # 300 reports put the boilerplate terms in the dense block and the rest
+    # in the rare-term index, so both halves of the screen run
+    corpus = tmp_path / "in.jsonl"
+    write_documents(corpus, radiology_corpus(300, 0.19, seed=0).documents)
+    assert cli.main(["dedup", str(corpus), "--report", str(tmp_path / "want.json")]) == 0
+    want = capsys.readouterr().out
+    assert "(0 removed" not in want
+    blocked = (
+        "import sys; sys.modules['scipy'] = None; from medcorpus.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    proc = _run_src_python(blocked, "dedup", str(corpus), "--report", "got.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 # --- CLI exit codes ---------------------------------------------------------

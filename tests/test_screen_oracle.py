@@ -1,11 +1,14 @@
-"""The lower-triangle screen of ``dedup._near_threshold_pairs`` against the
-screen it replaced, which scores every row block against all columns and
-adds the sparse product through its COO coordinates.
+"""The lower-triangle screen of ``dedup._near_threshold_pairs``, which adds
+rare-term scores from an inverted index on numpy alone, against an older
+screen, which scores every row block against all columns and adds the
+scipy sparse product through its COO coordinates.
 
 The reference below is that function unchanged. Both must return the same
 candidate map: the same keys in the same order, each with the same list.
 """
 
+import random
+from collections import Counter
 from typing import Sequence
 from unittest import mock
 
@@ -113,15 +116,15 @@ def reference_near_threshold_pairs(
     return out
 
 
-
 # --- differential tests -----------------------------------------------------
 
 
-def assert_same_screen(vectors: list[BowVector], cfg: DedupConfig) -> None:
+def assert_same_screen(vectors: list[BowVector], cfg: DedupConfig) -> dict[int, list[int]]:
     participants, _ = _split_participants(vectors, cfg)
     got = _near_threshold_pairs(vectors, participants, cfg)
     want = reference_near_threshold_pairs(vectors, participants, cfg)
     assert list(got.items()) == list(want.items())
+    return got
 
 
 def vectors_of(docs) -> list[BowVector]:
@@ -177,3 +180,81 @@ def test_screen_matches_reference_on_small_blocks(count_dicts, block_rows, thres
     cfg = DedupConfig(threshold=threshold, max_doc_words=max_words)
     with mock.patch.object(dedup, "BLOCK_ROWS", block_rows):
         assert_same_screen(vectors, cfg)
+
+
+# --- edges of the rare-term index --------------------------------------------
+
+
+def rare_entry_rows(vectors: list[BowVector]) -> list[int]:
+    """The row of each rare entry, in the screen's row order."""
+    return dedup._score_matrices(vectors, list(range(len(vectors))))[1].tolist()
+
+
+def rare_contributions(vectors: list[BowVector]) -> list[int]:
+    """Per row, the rare-term products the screen adds: for each of the
+    row's rare terms, one per earlier row that holds the term."""
+    _, rows, ids, _ = dedup._score_matrices(vectors, list(range(len(vectors))))
+    seen: Counter = Counter()
+    per_row = [0] * len(vectors)
+    for row, term in zip(rows.tolist(), ids.tolist()):
+        per_row[row] += seen[term]
+        seen[term] += 1
+    return per_row
+
+
+def test_screen_matches_reference_without_rare_entries():
+    # each term is in all 80 documents, so every term goes to the dense block
+    rng = random.Random(5)
+    vectors = [BowVector(f"d{i}", {t: rng.randint(1, 3) for t in "abcd"}) for i in range(80)]
+    assert rare_entry_rows(vectors) == []
+    for threshold in (0.75, 0.99, 1.0):
+        assert assert_same_screen(vectors, DedupConfig(threshold=threshold))
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.9])
+def test_screen_matches_reference_on_a_block_without_rare_entries(threshold):
+    # "b" is in all 80 documents and goes to the dense block. The last block
+    # of 8 holds it alone, after blocks whose rows all have rare terms.
+    rng = random.Random(6)
+    rare = [f"r{i}" for i in range(10)]
+    vectors = [
+        BowVector(f"d{i}", {"b": rng.randint(1, 4), **dict.fromkeys(rng.sample(rare, 3), 1)})
+        for i in range(72)
+    ]
+    vectors += [BowVector(f"e{i}", {"b": i + 1}) for i in range(8)]
+    assert set(rare_entry_rows(vectors)) == set(range(72))
+    with mock.patch.object(dedup, "BLOCK_ROWS", 8):
+        got = assert_same_screen(vectors, DedupConfig(threshold=threshold))
+    assert got[79][-7:] == list(range(72, 79))
+
+
+@pytest.mark.parametrize("counts", [{"a": 1}, {"a": 2, "b": 1, "c": 1}])
+@pytest.mark.parametrize("threshold", [1e-7, 1.0])
+def test_screen_matches_reference_on_one_document(counts, threshold):
+    assert assert_same_screen([BowVector("d0", counts)], DedupConfig(threshold=threshold)) == {}
+
+
+@pytest.mark.parametrize(
+    "make_vectors",
+    [
+        lambda: vectors_of(radiology_corpus(600, 0.19, seed=4).documents),
+        # ten rare terms shared by every document
+        lambda: [
+            BowVector(f"d{i}", {f"r{k}": 1 + (i * k) % 3 for k in range(10)}) for i in range(40)
+        ],
+    ],
+    ids=["radiology", "shared-rare-terms"],
+)
+def test_screen_matches_reference_when_runs_split_blocks_and_rows(make_vectors):
+    # a run adds at most one score row of contributions, as many as the
+    # block has columns; these corpora overflow that in a block and in a row
+    vectors = make_vectors()
+    block = 16
+    per_row = rare_contributions(vectors)
+    n = len(vectors)
+    ends = [min(start + block, n) for start in range(0, n, block)]
+    assert any(sum(per_row[stop - block : stop]) > stop for stop in ends[:-1])
+    assert any(per_row[row] > ends[row // block] for row in range(n))
+    with mock.patch.object(dedup, "BLOCK_ROWS", block):
+        for threshold in (0.75, 0.3):
+            assert assert_same_screen(vectors, DedupConfig(threshold=threshold))
