@@ -300,7 +300,8 @@ def detect_dates(text: str, wildcard: str = DATE_WILDCARD) -> list[RedactionSpan
         RedactionSpan(byte_at[m.start()], byte_at[m.end()], KIND_DATE, m.group(0), wildcard)
         for m in found
     ]
-    return sorted(_drop_contained(raw), key=lambda s: (s.start, s.end))
+    # maximal spans, so their starts, and with them their ends, strictly increase
+    return _drop_contained(raw)
 
 
 def _merge_spans(spans: Sequence[RedactionSpan]) -> list[RedactionSpan]:

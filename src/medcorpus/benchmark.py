@@ -400,11 +400,13 @@ def write_conll(path: str | Path, examples: Iterable[TokenLabeledExample]) -> No
 
 
 def load_conll(path: str | Path) -> list[TokenLabeledExample]:
+    """Documents as :func:`write_conll` writes them; a line that is not
+    token TAB tag is a ``ValueError`` that names the file and the line."""
     examples: list[TokenLabeledExample] = []
     tokens: list[str] = []
     tags: list[str] = []
     with open_text(path) as fh:
-        for raw in fh:
+        for n, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:
                 if tokens:
@@ -415,7 +417,7 @@ def load_conll(path: str | Path) -> list[TokenLabeledExample]:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValueError(f"bad CoNLL line: {line!r}")
+                raise ValueError(f"{path}: line {n}: expected token TAB tag, got {line!r}")
             tokens.append(parts[0])
             tags.append(parts[1])
     if tokens:
@@ -434,13 +436,19 @@ def label_distribution(split: Split, labels: Sequence[str]) -> list[tuple[str, i
     return rows
 
 
-def export_task(bundle: TaskBundle, out_dir: str | Path) -> None:
-    """Write train/valid/test JSONL, labels.txt, and distribution.tsv."""
+def write_split(split: Split, out_dir: str | Path) -> None:
+    """Write train/valid/test JSONL into ``out_dir``, made if missing."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_examples_jsonl(out / "train.jsonl", bundle.split.train)
-    write_examples_jsonl(out / "valid.jsonl", bundle.split.valid)
-    write_examples_jsonl(out / "test.jsonl", bundle.split.test)
+    write_examples_jsonl(out / "train.jsonl", split.train)
+    write_examples_jsonl(out / "valid.jsonl", split.valid)
+    write_examples_jsonl(out / "test.jsonl", split.test)
+
+
+def export_task(bundle: TaskBundle, out_dir: str | Path) -> None:
+    """Write the split JSONL, labels.txt, and distribution.tsv."""
+    write_split(bundle.split, out_dir)
+    out = Path(out_dir)
     write_text(out / "labels.txt", (lab + "\n" for lab in bundle.labels))
     rows = label_distribution(bundle.split, bundle.labels)
     write_text(

@@ -211,11 +211,7 @@ def cmd_bench_split(args) -> int:
     split = bench.stratified_split(
         examples, spec, group_by_patient=not args.no_patient_grouping
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    bench.write_examples_jsonl(out / "train.jsonl", split.train)
-    bench.write_examples_jsonl(out / "valid.jsonl", split.valid)
-    bench.write_examples_jsonl(out / "test.jsonl", split.test)
+    bench.write_split(split, args.out_dir)
     print(
         f"split {len(split.train)}/{len(split.valid)}/{len(split.test)} "
         f"written to {args.out_dir} ({len(split.rest)} left over)"

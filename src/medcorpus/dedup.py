@@ -1,19 +1,20 @@
 """Near-duplicate removal over bag-of-words cosine similarity.
 
-Two engines produce identical results:
+Two engines produce identical results. They differ only in their
+candidate source, the earlier documents each document is verified
+against; the walk of each mode, every similarity decision and the report
+are shared:
 
-* :func:`dedup_exact` compares every incoming document against every kept
-  document. Quadratic, trivially auditable, the reference that the tests
-  hold the indexed engine to.
+* :func:`dedup_exact` offers every earlier document. Quadratic, trivially
+  auditable, the reference that the tests hold the indexed engine to.
 * :func:`dedup_indexed` screens all pairs on blocked approximate scores
   (dense BLAS products for common terms, an inverted index for rare ones,
   each block of documents against itself and the documents before it) and
-  only verifies pairs whose approximate score is within a safety margin of
-  the threshold. Every decision is made by the same
-  :func:`cosine_similarity` call on the same operands as the exact
-  engine, so the keep set, the removal set, and the clusters are
-  identical; only ``pairs_examined`` may differ. :func:`dedup_documents`,
-  which the CLI and the pipeline call, runs this engine.
+  offers only the pairs whose approximate score is within a safety margin
+  of the threshold. A pair it skips cannot exceed the threshold, so the
+  keep set, the removal set, and the clusters are identical; only
+  ``pairs_examined`` may differ. :func:`dedup_documents`, which the CLI
+  and the pipeline call, runs this engine.
 
 Candidate generation never filters terms by document frequency. Dropping
 high-frequency terms from the index looks attractive but is unsound: two
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -187,10 +189,7 @@ class DedupReport:
     kept_ids: list[str] = field(default_factory=list)
 
     def removed_ids(self) -> set[str]:
-        removed: set[str] = set()
-        for cluster in self.clusters:
-            removed.update(cluster.members)
-        return removed
+        return {m for c in self.clusters for m in c.members}
 
     def to_obj(self) -> dict:
         obj = asdict(self)
@@ -198,28 +197,11 @@ class DedupReport:
         return obj
 
 
-def _validate_vectors(vectors: Sequence[BowVector]) -> None:
-    seen: set[str] = set()
-    for v in vectors:
-        if v.doc_id in seen:
-            raise ValueError(f"duplicate doc_id {v.doc_id!r} in dedup input")
-        seen.add(v.doc_id)
-
-
-def _split_participants(
-    vectors: Sequence[BowVector], cfg: DedupConfig
-) -> tuple[list[int], set[int]]:
-    """Long documents bypass dedup entirely when max_doc_words is set."""
-    if cfg.max_doc_words is None:
-        return list(range(len(vectors))), set()
-    participants = []
-    bypassed = set()
-    for i, v in enumerate(vectors):
-        if v.n_terms() <= cfg.max_doc_words:
-            participants.append(i)
-        else:
-            bypassed.add(i)
-    return participants, bypassed
+def _participants(vectors: Sequence[BowVector], cfg: DedupConfig) -> list[int]:
+    """The indices that take part in dedup, ascending; long documents
+    bypass it entirely when max_doc_words is set."""
+    limit = cfg.max_doc_words
+    return [i for i, v in enumerate(vectors) if limit is None or v.n_terms() <= limit]
 
 
 class _UnionFind:
@@ -242,112 +224,99 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _finish_report(
-    vectors: Sequence[BowVector],
-    cfg: DedupConfig,
-    kept_indices: list[int],
-    clusters: list[Cluster],
-    pairs_examined: int,
-) -> DedupReport:
-    n_removed = sum(len(c.members) for c in clusters)
-    return DedupReport(
-        mode=cfg.mode,
-        threshold=cfg.threshold,
-        comparison=cfg.comparison,
-        n_input=len(vectors),
-        n_kept=len(vectors) - n_removed,
-        n_removed=n_removed,
-        clusters=clusters,
-        pairs_examined=pairs_examined,
-        kept_ids=[vectors[i].doc_id for i in sorted(kept_indices)],
-    )
+# Both walks take ``candidates(i)``, the earlier participants of ``i`` worth
+# verifying, in ascending order, and return the clusters and the number of
+# pairs verified.
+_Candidates = Callable[[int], Iterable[int]]
 
 
 def _representative_walk(
-    vectors: Sequence[BowVector],
-    cfg: DedupConfig,
-    participants: list[int],
-    bypassed: set[int],
-    candidates_for: Callable[[int], Iterable[int]] | None,
-) -> DedupReport:
-    """Shared greedy scan. ``candidates_for`` yields the kept indices worth
-    verifying for one incoming index, already restricted to earlier docs;
-    None means verify against every kept document (the exact engine)."""
+    vectors: Sequence[BowVector], cfg: DedupConfig, participants: list[int], candidates: _Candidates
+) -> tuple[list[Cluster], int]:
+    """Greedy scan in input order: a participant joins the first kept
+    candidate it exceeds the threshold with, and is kept if there is none."""
     exceeds = cfg.exceeds()
-    kept: list[int] = []
-    keep_order: dict[int, int] = {}
+    kept: set[int] = set()
     members: dict[int, list[int]] = {}
     pairs_examined = 0
     for i in participants:
-        if candidates_for is None:
-            check = kept
+        for j in candidates(i):
+            if j in kept:
+                pairs_examined += 1
+                if exceeds(cosine_similarity(vectors[i], vectors[j])):
+                    members.setdefault(j, []).append(i)
+                    break
         else:
-            check = sorted(
-                (j for j in candidates_for(i) if j in keep_order),
-                key=keep_order.__getitem__,
-            )
-        target = None
-        for j in check:
-            pairs_examined += 1
-            if exceeds(cosine_similarity(vectors[i], vectors[j])):
-                target = j
-                break
-        if target is None:
-            keep_order[i] = len(kept)
-            kept.append(i)
-        else:
-            members.setdefault(target, []).append(i)
+            kept.add(i)
     clusters = [
         Cluster(vectors[j].doc_id, [vectors[m].doc_id for m in members[j]])
-        for j in kept
-        if j in members
+        for j in sorted(members)
     ]
-    kept_indices = kept + sorted(bypassed)
-    return _finish_report(vectors, cfg, kept_indices, clusters, pairs_examined)
+    return clusters, pairs_examined
 
 
 def _literal_drop(
-    vectors: Sequence[BowVector],
-    cfg: DedupConfig,
-    participants: list[int],
-    bypassed: set[int],
-    pairs: Iterable[tuple[int, int]],
-) -> DedupReport:
+    vectors: Sequence[BowVector], cfg: DedupConfig, participants: list[int], candidates: _Candidates
+) -> tuple[list[Cluster], int]:
     """Remove every participant with at least one neighbor over the
     threshold; clusters are connected components of the neighbor graph."""
     exceeds = cfg.exceeds()
     uf = _UnionFind(len(vectors))
     removed: set[int] = set()
     pairs_examined = 0
-    for i, j in pairs:
-        pairs_examined += 1
-        if exceeds(cosine_similarity(vectors[i], vectors[j])):
-            removed.add(i)
-            removed.add(j)
-            uf.union(i, j)
+    for i in participants:
+        for j in candidates(i):
+            pairs_examined += 1
+            if exceeds(cosine_similarity(vectors[j], vectors[i])):
+                removed.update((i, j))
+                uf.union(i, j)
+    # ascending members, so the components come out by their earliest member
     components: dict[int, list[int]] = {}
     for i in sorted(removed):
         components.setdefault(uf.find(i), []).append(i)
     clusters = [
         Cluster(vectors[comp[0]].doc_id, [vectors[m].doc_id for m in comp])
-        for _, comp in sorted(components.items(), key=lambda kv: kv[1][0])
+        for comp in components.values()
     ]
-    kept_indices = [i for i in participants if i not in removed] + sorted(bypassed)
-    return _finish_report(vectors, cfg, kept_indices, clusters, pairs_examined)
+    return clusters, pairs_examined
+
+
+def _dedup(
+    vectors: Sequence[BowVector],
+    cfg: DedupConfig,
+    screen: Callable[[list[int]], _Candidates],
+) -> DedupReport:
+    """Run the mode's walk on the candidates that ``screen`` returns for
+    the participants; the engines differ only in their screen."""
+    seen: set[str] = set()
+    for v in vectors:
+        if v.doc_id in seen:
+            raise ValueError(f"duplicate doc_id {v.doc_id!r} in dedup input")
+        seen.add(v.doc_id)
+    participants = _participants(vectors, cfg)
+    walk = _representative_walk if cfg.mode == MODE_REPRESENTATIVE else _literal_drop
+    clusters, pairs_examined = walk(vectors, cfg, participants, screen(participants))
+    removed = {m for c in clusters for m in c.members}
+    return DedupReport(
+        mode=cfg.mode,
+        threshold=cfg.threshold,
+        comparison=cfg.comparison,
+        n_input=len(vectors),
+        n_kept=len(vectors) - len(removed),
+        n_removed=len(removed),
+        clusters=clusters,
+        pairs_examined=pairs_examined,
+        kept_ids=[v.doc_id for v in vectors if v.doc_id not in removed],
+    )
 
 
 def dedup_exact(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()) -> DedupReport:
     """Reference engine: every pair of participating documents is compared."""
-    _validate_vectors(vectors)
-    participants, bypassed = _split_participants(vectors, cfg)
-    if cfg.mode == MODE_REPRESENTATIVE:
-        return _representative_walk(vectors, cfg, participants, bypassed, None)
-    pairs = (
-        (participants[a], participants[b])
-        for a in range(len(participants))
-        for b in range(a + 1, len(participants))
-    )
-    return _literal_drop(vectors, cfg, participants, bypassed, pairs)
+
+    def every_earlier(participants: list[int]) -> _Candidates:
+        return lambda i: islice(participants, bisect_left(participants, i))
+
+    return _dedup(vectors, cfg, every_earlier)
 
 
 def _score_matrices(
@@ -479,15 +448,12 @@ def dedup_indexed(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()
     the remainder are verified with the exact scalar cosine, in the same
     order the exact engine would have used.
     """
-    _validate_vectors(vectors)
-    participants, bypassed = _split_participants(vectors, cfg)
-    candidates = _near_threshold_pairs(vectors, participants, cfg)
-    if cfg.mode == MODE_REPRESENTATIVE:
-        return _representative_walk(
-            vectors, cfg, participants, bypassed, lambda i: candidates.get(i, ())
-        )
-    pairs = [(j, i) for i in participants for j in candidates.get(i, ())]
-    return _literal_drop(vectors, cfg, participants, bypassed, pairs)
+
+    def screened(participants: list[int]) -> _Candidates:
+        pairs = _near_threshold_pairs(vectors, participants, cfg)
+        return lambda i: pairs.get(i, ())
+
+    return _dedup(vectors, cfg, screened)
 
 
 def dedup_documents(
@@ -504,7 +470,7 @@ def dedup_documents(
     groups: dict[str, list[Document]] = {}
     for doc in docs:
         groups.setdefault(doc.source, []).append(doc)
-    kept: set[tuple[str, str]] = set()
+    removed: set[tuple[str, str]] = set()
     reports: dict[str, DedupReport] = {}
     for source in sorted(groups):
         # vectorize one source at a time, so only its vectors are held
@@ -513,7 +479,7 @@ def dedup_documents(
             try:
                 vectors.append(vectorize(doc))
             except EmptyVectorError:
-                kept.add((source, doc.id))
+                pass  # nothing to compare it with, so it stays
         reports[source] = dedup_indexed(vectors, cfg)
-        kept.update((source, doc_id) for doc_id in reports[source].kept_ids)
-    return [d for d in docs if (d.source, d.id) in kept], reports
+        removed.update((source, doc_id) for doc_id in reports[source].removed_ids())
+    return [d for d in docs if (d.source, d.id) not in removed], reports

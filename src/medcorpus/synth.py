@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import random
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .corpus import Document
 
@@ -64,6 +65,43 @@ class PlantedCorpus:
     duplicate_of: dict[str, str] = field(default_factory=dict)
 
 
+def _plant_duplicates(
+    rng: random.Random,
+    n_docs: int,
+    dup_rate: float,
+    draw_base: Callable[[], list[str]],
+    pool: Sequence[str],
+    n_swaps: int,
+    prefixes: tuple[str, str],
+    source: str,
+) -> PlantedCorpus:
+    """Draw the base documents, then the duplicates, each a copy of a random
+    base with ``n_swaps`` positions replaced by words from ``pool``, and
+    shuffle them together. Ids are ``<prefix>-<number>``, the base prefix
+    first."""
+    if not 0.0 <= dup_rate < 1.0:
+        raise ValueError(f"dup_rate must be in [0, 1), got {dup_rate}")
+    n_dups = int(round(n_docs * dup_rate))
+    n_bases = n_docs - n_dups
+    if n_bases <= 0:
+        raise ValueError("dup_rate leaves no base documents")
+    base_prefix, dup_prefix = prefixes
+    bases = [draw_base() for _ in range(n_bases)]
+    order: list[tuple[str, list[str], str | None]] = [
+        (f"{base_prefix}-{i:06d}", words, None) for i, words in enumerate(bases)
+    ]
+    for j in range(n_dups):
+        src = rng.randrange(n_bases)
+        words = list(bases[src])
+        for pos in rng.sample(range(len(words)), min(n_swaps, len(words))):
+            words[pos] = rng.choice(pool)
+        order.append((f"{dup_prefix}-{j:06d}", words, f"{base_prefix}-{src:06d}"))
+    rng.shuffle(order)
+    docs = [Document(id=doc_id, source=source, text=" ".join(words)) for doc_id, words, _ in order]
+    dup_of = {doc_id: origin for doc_id, _, origin in order if origin is not None}
+    return PlantedCorpus(documents=docs, duplicate_ids=set(dup_of), duplicate_of=dup_of)
+
+
 def bow_corpus(
     n_docs: int,
     vocab_size: int,
@@ -81,41 +119,12 @@ def bow_corpus(
     documents are drawn with individually shuffled vocab slices so that
     unrelated documents stay far below any realistic threshold.
     """
-    if not 0.0 <= dup_rate < 1.0:
-        raise ValueError(f"dup_rate must be in [0, 1), got {dup_rate}")
     rng = random.Random(seed)
     vocab = make_vocab(rng, vocab_size)
-    n_dups = int(round(n_docs * dup_rate))
-    n_bases = n_docs - n_dups
-    if n_bases <= 0:
-        raise ValueError("dup_rate leaves no base documents")
-
-    bases: list[list[str]] = []
-    for _ in range(n_bases):
-        words = [rng.choice(vocab) for _ in range(doc_len)]
-        bases.append(words)
-
-    docs: list[Document] = []
-    dup_ids: set[str] = set()
-    dup_of: dict[str, str] = {}
-    order: list[tuple[str, list[str], str | None]] = []
-    for i, words in enumerate(bases):
-        order.append((f"base-{i:06d}", words, None))
-    for j in range(n_dups):
-        src = rng.randrange(n_bases)
-        words = list(bases[src])
-        positions = rng.sample(range(len(words)), min(n_swaps, len(words)))
-        for pos in positions:
-            words[pos] = rng.choice(vocab)
-        order.append((f"dup-{j:06d}", words, f"base-{src:06d}"))
-    rng.shuffle(order)
-
-    for doc_id, words, origin in order:
-        docs.append(Document(id=doc_id, source=source, text=" ".join(words)))
-        if origin is not None:
-            dup_ids.add(doc_id)
-            dup_of[doc_id] = origin
-    return PlantedCorpus(documents=docs, duplicate_ids=dup_ids, duplicate_of=dup_of)
+    return _plant_duplicates(
+        rng, n_docs, dup_rate, lambda: [rng.choice(vocab) for _ in range(doc_len)],
+        vocab, n_swaps, ("base", "dup"), source,
+    )
 
 
 def radiology_corpus(n_docs: int, dup_rate: float, seed: int) -> PlantedCorpus:
@@ -127,39 +136,19 @@ def radiology_corpus(n_docs: int, dup_rate: float, seed: int) -> PlantedCorpus:
     """
     rng = random.Random(seed)
     filler = make_vocab(rng, 8000)
-    n_dups = int(round(n_docs * dup_rate))
-    n_bases = n_docs - n_dups
 
-    bases: list[list[str]] = []
-    for _ in range(n_bases):
+    def report() -> list[str]:
         words: list[str] = []
         # distinct phrases, and filler outweighing them: two unrelated
         # reports sharing even a full phrase set stay far below 0.75
         for phrase in rng.sample(_REPORT_PHRASES, rng.randint(3, 5)):
             words.extend(phrase.split())
         words.extend(rng.choice(filler) for _ in range(rng.randint(25, 40)))
-        bases.append(words)
+        return words
 
-    order: list[tuple[str, list[str], str | None]] = []
-    for i, words in enumerate(bases):
-        order.append((f"rad-{i:06d}", words, None))
-    for j in range(n_dups):
-        src = rng.randrange(n_bases)
-        words = list(bases[src])
-        for pos in rng.sample(range(len(words)), min(2, len(words))):
-            words[pos] = rng.choice(filler)
-        order.append((f"raddup-{j:06d}", words, f"rad-{src:06d}"))
-    rng.shuffle(order)
-
-    docs = []
-    dup_ids = set()
-    dup_of = {}
-    for doc_id, words, origin in order:
-        docs.append(Document(id=doc_id, source="radiology-report", text=" ".join(words)))
-        if origin is not None:
-            dup_ids.add(doc_id)
-            dup_of[doc_id] = origin
-    return PlantedCorpus(documents=docs, duplicate_ids=dup_ids, duplicate_of=dup_of)
+    return _plant_duplicates(
+        rng, n_docs, dup_rate, report, filler, 2, ("rad", "raddup"), "radiology-report"
+    )
 
 
 @dataclass

@@ -243,6 +243,7 @@ def test_a_byte_that_is_not_utf8_names_its_file(tmp_path, command, target):
     [
         ("tokenize", "vocab.txt", "a\nb\n", "vocabulary has no [UNK] token"),
         ("hpo run", "space.json", '{"batch_sizes": [8]}', "unknown key 'batch_sizes' in search space"),
+        ("eval ner", "gold.conll", "Herr\tO\nAnna B-PER\n", "line 2: "),
     ],
 )
 def test_vocabulary_and_search_space_errors_name_their_file(

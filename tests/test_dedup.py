@@ -19,6 +19,7 @@ from medcorpus.dedup import (
     dedup_indexed,
     vectorize,
 )
+from medcorpus.synth import bow_corpus, radiology_corpus
 
 
 def vec(doc_id, counts):
@@ -223,6 +224,29 @@ def test_exact_pairs_examined_full_scan():
     report = dedup_exact(vs, DedupConfig())
     # all disjoint: every kept candidate pair is checked once
     assert report.pairs_examined == 15
+
+
+# (corpus, max_doc_words, mode) -> pairs_examined of (exact, indexed); the
+# exact engine verifies a representative against every earlier kept
+# document and, in literal mode, every pair, the indexed engine only the
+# pairs its screen passes
+@pytest.mark.parametrize(
+    "corpus, max_doc_words, mode, expected",
+    [
+        (lambda: radiology_corpus(300, 0.2, seed=1), None, MODE_REPRESENTATIVE, (33574, 60)),
+        (lambda: radiology_corpus(300, 0.2, seed=1), None, MODE_LITERAL, (44850, 69)),
+        (lambda: bow_corpus(200, 300, 0.15, seed=2), None, MODE_REPRESENTATIVE, (16244, 30)),
+        (lambda: bow_corpus(200, 300, 0.15, seed=2), None, MODE_LITERAL, (19900, 31)),
+        (lambda: radiology_corpus(300, 0.2, seed=4), 50, MODE_REPRESENTATIVE, (8896, 32)),
+        (lambda: radiology_corpus(300, 0.2, seed=4), 50, MODE_LITERAL, (11781, 33)),
+    ],
+)
+def test_pairs_examined_per_engine_and_mode(corpus, max_doc_words, mode, expected):
+    vectors = [vectorize(d) for d in corpus().documents]
+    cfg = DedupConfig(mode=mode, max_doc_words=max_doc_words)
+    exact, indexed = dedup_exact(vectors, cfg), dedup_indexed(vectors, cfg)
+    assert (exact.pairs_examined, indexed.pairs_examined) == expected
+    assert report_key(indexed) == report_key(exact)
 
 
 def test_report_accounting_and_serialization():

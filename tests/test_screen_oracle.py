@@ -24,7 +24,7 @@ from medcorpus.dedup import (
     BowVector,
     DedupConfig,
     _near_threshold_pairs,
-    _split_participants,
+    _participants,
     vectorize,
 )
 from medcorpus.synth import pii_corpus, radiology_corpus
@@ -120,7 +120,7 @@ def reference_near_threshold_pairs(
 
 
 def assert_same_screen(vectors: list[BowVector], cfg: DedupConfig) -> dict[int, list[int]]:
-    participants, _ = _split_participants(vectors, cfg)
+    participants = _participants(vectors, cfg)
     got = _near_threshold_pairs(vectors, participants, cfg)
     want = reference_near_threshold_pairs(vectors, participants, cfg)
     assert list(got.items()) == list(want.items())
