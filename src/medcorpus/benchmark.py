@@ -106,17 +106,22 @@ class TokenLabeledExample:
             raise ValueError(f"example {self.doc_id!r} is empty")
 
 
+def _check_tag(prev: str | None, tag: str) -> None:
+    """Reject a tag that is not O, B-X or I-X, and an I-X that does not
+    continue a B-X or I-X run from ``prev``, the tag before it (None at the
+    start of a document)."""
+    if tag.startswith("I-"):
+        cls = tag[2:]
+        if prev not in (f"B-{cls}", f"I-{cls}"):
+            raise ValueError(f"dangling {tag} after {prev}")
+    elif tag != "O" and not tag.startswith("B-"):
+        raise ValueError(f"malformed tag {tag!r}")
+
+
 def validate_bio(tags: Sequence[str]) -> None:
-    """Reject tag sequences where I-X does not continue a B-X or I-X run."""
-    prev: str | None = None
-    for tag in tags:
-        if tag.startswith("I-"):
-            cls = tag[2:]
-            if prev not in (f"B-{cls}", f"I-{cls}"):
-                raise ValueError(f"dangling {tag} after {prev}")
-        elif tag != "O" and not tag.startswith("B-"):
-            raise ValueError(f"malformed tag {tag!r}")
-        prev = tag
+    """Reject tag sequences that are not BIO (see :func:`_check_tag`)."""
+    for prev, tag in zip([None, *tags], tags):
+        _check_tag(prev, tag)
 
 
 def icd_category(code: str) -> str:
@@ -401,7 +406,8 @@ def write_conll(path: str | Path, examples: Iterable[TokenLabeledExample]) -> No
 
 def load_conll(path: str | Path) -> list[TokenLabeledExample]:
     """Documents as :func:`write_conll` writes them; a line that is not
-    token TAB tag is a ``ValueError`` that names the file and the line."""
+    token TAB tag, or whose tag breaks the document's BIO sequence, is a
+    ``ValueError`` that names the file and the line."""
     examples: list[TokenLabeledExample] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -418,6 +424,10 @@ def load_conll(path: str | Path) -> list[TokenLabeledExample]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {n}: expected token TAB tag, got {line!r}")
+            try:
+                _check_tag(tags[-1] if tags else None, parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {n}: {exc}") from None
             tokens.append(parts[0])
             tags.append(parts[1])
     if tokens:

@@ -207,10 +207,14 @@ def cmd_bench_build(args) -> int:
 
 def cmd_bench_split(args) -> int:
     examples = bench.load_examples_jsonl(args.input)
+    group = not args.no_patient_grouping
+    if group and examples and all(ex.patient_ref is None for ex in examples):
+        raise ValueError(
+            f"{args.input}: no row has a 'patient_ref' to group by; "
+            "pass --no-patient-grouping to split per example"
+        )
     spec = bench.SplitSpec(*args.sizes, **_given(seed=args.seed))
-    split = bench.stratified_split(
-        examples, spec, group_by_patient=not args.no_patient_grouping
-    )
+    split = bench.stratified_split(examples, spec, group_by_patient=group)
     bench.write_split(split, args.out_dir)
     print(
         f"split {len(split.train)}/{len(split.valid)}/{len(split.test)} "

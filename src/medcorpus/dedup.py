@@ -33,8 +33,6 @@ from itertools import chain, islice
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .corpus import Document
 
 COMPARISON_STRICT = "strict-greater"
@@ -331,6 +329,8 @@ def _score_matrices(
     every row keeps its own term order, so the dense column order and the
     order in which the screen sums a pair's shared rare terms depend only
     on the input."""
+    import numpy as np  # the screen alone needs numpy; other commands start without it
+
     n = len(participants)
     counts_of = [vectors[idx].counts for idx in participants]
     terms = list(chain.from_iterable(counts_of))
@@ -380,6 +380,8 @@ def _near_threshold_pairs(
     nothing, so every pair is screened on its full approximate score;
     without it a boilerplate term's postings would hold nearly every row,
     and its contributions would grow with the square of the corpus."""
+    import numpy as np
+
     n = len(participants)
     if n == 0:
         return {}

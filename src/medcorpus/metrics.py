@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .corpus import write_json, write_text
 
@@ -29,25 +28,29 @@ def auroc(scores: Sequence[float], truths: Sequence[bool]) -> float:
     """Probability that a random positive outranks a random negative,
     counting exact score ties as one half. Rank-based; identical to
     brute-force pair counting up to exact float arithmetic."""
-    s = np.asarray(scores, dtype=float)
-    t = np.asarray(truths, dtype=bool)
-    if s.shape != t.shape or s.ndim != 1:
+    s = [float(x) for x in scores]
+    t = [bool(x) for x in truths]
+    if len(s) != len(t):
         raise ValueError("scores and truths must be parallel 1-d sequences")
-    n_pos = int(t.sum())
-    n_neg = int(t.size - n_pos)
+    n_pos = sum(t)
+    n_neg = len(t) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC undefined: truth has a single class")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(t.size, dtype=float)
-    sorted_scores = s[order]
-    i = 0
-    while i < t.size:
-        j = i
-        while j + 1 < t.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-    rank_sum = float(ranks[t].sum())
+    pairs = list(zip(s, t))
+    # by score, ties in input order; NaN equals nothing, so each NaN ranks on
+    # its own, after every number
+    ranked = sorted((pair for pair in pairs if pair[0] == pair[0]), key=itemgetter(0))
+    ranked += (pair for pair in pairs if pair[0] != pair[0])
+    # the tied scores at positions start .. k - 1 share the mean rank
+    # (start + k + 1) / 2; ranks are half-integers, so the sum is exact
+    rank_sum = 0.0
+    start = positives = 0
+    for k, (score, truth) in enumerate(ranked):
+        if score != ranked[start][0]:
+            rank_sum += (start + k + 1) / 2.0 * positives
+            start, positives = k, 0
+        positives += truth
+    rank_sum += (start + len(ranked) + 1) / 2.0 * positives
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

@@ -399,6 +399,22 @@ def test_conll_bad_line(tmp_path):
         load_conll(path)
 
 
+@pytest.mark.parametrize("line", ["Herr\tgarbage", "Herr\t", "Herr\tI-PER", "Herr\tPER"])
+def test_load_conll_rejects_tags_that_are_not_bio(tmp_path, line):
+    path = tmp_path / "t.conll"
+    path.write_text(f"Befund\tO\n\nvon\tO\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 4: "):
+        load_conll(path)
+
+
+def test_load_conll_checks_each_document_on_its_own(tmp_path):
+    # an I- tag cannot continue a run from the document before
+    path = tmp_path / "t.conll"
+    path.write_text("Herr\tB-PER\n\nMeier\tI-PER\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r": line 3: dangling I-PER after None"):
+        load_conll(path)
+
+
 def test_load_conll_accepts_byte_order_mark(tmp_path):
     path = tmp_path / "t.conll"
     path.write_text("\ufeffHerr\tO\nMeier\tB-PER\n", encoding="utf-8")

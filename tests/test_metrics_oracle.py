@@ -1,14 +1,20 @@
-"""The metric reports of ``medcorpus.metrics`` against the code they
-replaced, which mapped undefined values to 0.0 in several places and
-patched the hard-tag NER rows afterwards.
+"""The metrics of ``medcorpus.metrics`` against the code they replaced.
 
-The reference below is that code unchanged: ``prf``, ``multilabel_report``
-and ``ner_token_report`` with their helpers. Both must give the same JSON
-and TSV report, byte for byte, and the same ``prf`` triple.
+The report reference mapped undefined values to 0.0 in several places and
+patched the hard-tag NER rows afterwards. It is that code unchanged:
+``prf``, ``multilabel_report`` and ``ner_token_report`` with their helpers.
+Both must give the same JSON and TSV report, byte for byte, and the same
+``prf`` triple.
+
+The AUROC reference ranked the scores with numpy. It is that code
+unchanged, and the pure-Python ``auroc`` must return the same float, bit
+for bit, and raise the same error.
 """
 
+import math
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from medcorpus import metrics
@@ -22,6 +28,36 @@ from medcorpus.metrics import (
     render_report_tsv,
     tag_class,
 )
+
+
+# --- reference: AUROC ranks from numpy --------------------------------------
+
+
+def reference_auroc(scores: Sequence[float], truths: Sequence[bool]) -> float:
+    """Probability that a random positive outranks a random negative,
+    counting exact score ties as one half. Rank-based; identical to
+    brute-force pair counting up to exact float arithmetic."""
+    s = np.asarray(scores, dtype=float)
+    t = np.asarray(truths, dtype=bool)
+    if s.shape != t.shape or s.ndim != 1:
+        raise ValueError("scores and truths must be parallel 1-d sequences")
+    n_pos = int(t.sum())
+    n_neg = int(t.size - n_pos)
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("AUROC undefined: truth has a single class")
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(t.size, dtype=float)
+    sorted_scores = s[order]
+    i = 0
+    while i < t.size:
+        j = i
+        while j + 1 < t.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    rank_sum = float(ranks[t].sum())
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
 
 
 # --- reference: per-place zero conventions and the hard-tag fixup ----------
@@ -271,3 +307,74 @@ def test_ner_empty_input_matches_reference():
                 metrics.ner_token_report([], [], labels, token_scores),
                 reference_ner_token_report([], [], labels, token_scores),
             )
+
+
+# --- AUROC ------------------------------------------------------------------
+
+
+def _auroc_outcome(fn, scores, truths):
+    """The value ``fn`` returns, or the type of the error it raises."""
+    try:
+        return fn(scores, truths)
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_same_auroc(scores, truths):
+    got = _auroc_outcome(auroc, scores, truths)
+    assert got == _auroc_outcome(reference_auroc, scores, truths)
+    assert isinstance(got, float) or got in (ValueError, UndefinedMetricError)
+
+
+# few distinct values, so most inputs hold exact ties; NaN equals nothing
+# and ranks last, in input order
+_TIED_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, math.inf, math.nan])
+_ANY_SCORES = st.floats(allow_nan=True, allow_infinity=True)
+_SCORE_LISTS = st.one_of(
+    st.lists(_TIED_SCORES, max_size=40),
+    st.lists(_ANY_SCORES, max_size=40),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=40),
+    st.lists(st.booleans(), max_size=40),
+)
+
+
+@st.composite
+def _auroc_input(draw):
+    scores = draw(_SCORE_LISTS)
+    # mostly parallel; otherwise one longer or shorter truth vector
+    n = len(scores) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    n = max(n, 0)
+    truths = draw(st.lists(st.booleans() | st.integers(0, 1), min_size=n, max_size=n))
+    return scores, truths
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_auroc_input())
+def test_auroc_matches_reference(case):
+    scores, truths = case
+    assert_same_auroc(scores, truths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_auroc_input())
+def test_auroc_matches_reference_on_numpy_arrays(case):
+    scores, truths = case
+    assert_same_auroc(np.asarray(scores), np.asarray(truths, dtype=bool))
+
+
+def test_auroc_matches_reference_on_edge_cases():
+    for scores, truths in [
+        ([0.3] * 6, [1, 0, 1, 0, 0, 1]),  # all tied
+        ([0.1, 0.1, 0.9, 0.9], [0, 1, 0, 1]),
+        ([True, False, True], [True, False, False]),
+        ([2, 1, 2, 0], [1, 0, 0, 1]),
+        ([math.nan, 0.5, math.nan, 0.5], [1, 0, 0, 1]),
+        ([math.nan] * 3, [1, 0, 1]),
+        ([], []),  # single class: neither positives nor negatives
+        ([0.1, 0.2], [1, 1]),
+        ([0.1, 0.2], [0, 0]),
+        ([0.1], [1, 0]),  # not parallel
+        ([0.1, 0.2], [1]),
+    ]:
+        assert_same_auroc(scores, truths)
+        assert_same_auroc(np.asarray(scores, dtype=float), np.asarray(truths, dtype=bool))

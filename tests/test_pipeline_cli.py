@@ -428,6 +428,64 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy():
+    # importing numpy is about half of a CLI start, and only the dedup
+    # screen needs it
+    proc = _run_src_python("import sys, medcorpus.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_commands_without_dedup_run_with_numpy_blocked(tmp_path):
+    write_documents(tmp_path / "reports.jsonl", radiology_corpus(40, 0.0, seed=0).documents)
+    write_bench_inputs(tmp_path)
+    write_examples_jsonl(
+        tmp_path / "gold.jsonl",
+        [LabeledExample("d1", "t", {"A"}), LabeledExample("d2", "t", {"B"})],
+    )
+    write_jsonl(
+        tmp_path / "clf.jsonl",
+        [
+            {"id": "d1", "scores": {"A": 0.9, "B": 0.2}},
+            {"id": "d2", "scores": {"A": 0.3, "B": 0.8}},
+        ],
+    )
+    write_conll(
+        tmp_path / "gold.conll",
+        [
+            TokenLabeledExample("a", ["Herr", "Meier", "kam"], ["B-PER", "I-PER", "O"]),
+            TokenLabeledExample("b", ["Keine", "Namen"], ["O", "O"]),
+        ],
+    )
+    write_jsonl(
+        tmp_path / "ner.jsonl",
+        [
+            {"tags": ["B-PER", "O", "O"], "scores": [{"PER": 0.9}, {"PER": 0.8}, {"PER": 0.1}]},
+            {"tags": ["O", "O"], "scores": [{"PER": 0.2}, {"PER": 0.4}]},
+        ],
+    )
+    commands = [
+        ["stats", "reports.jsonl", "--json", "stats.json"],
+        ["vocab", "build", "reports.jsonl", "--vocab-size", "120", "--out", "vocab.txt"],
+        ["fertility", "reports.jsonl", "--vocab", "vocab.txt", "--out", "fertility.json"],
+        [
+            "bench", "build", "docs.jsonl", "codes.csv", "--chapter", "5-",
+            "--sizes", "60", "30", "30", "--min-test-support", "2", "--out-dir", "task",
+        ],
+        ["eval", "clf", "--gold", "gold.jsonl", "--pred", "clf.jsonl", "--report", "clf.json"],
+        ["eval", "ner", "--gold", "gold.conll", "--pred", "ner.jsonl", "--report", "ner.json"],
+    ]
+    blocked = (
+        "import json, sys; sys.modules['numpy'] = None; from medcorpus.cli import main; "
+        "print([main(argv) for argv in json.loads(sys.argv[1])])"
+    )
+    proc = _run_src_python(blocked, json.dumps(commands), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([0] * len(commands)), proc.stderr
+    assert json.loads((tmp_path / "clf.json").read_text())["macro"]["auroc"] == 100.0
+    assert json.loads((tmp_path / "ner.json").read_text())["per_class"]["PER"]["auroc"] == 100.0
+
+
 def test_cli_dedup_runs_with_scipy_blocked(tmp_path, capsys):
     # 300 reports put the boilerplate terms in the dense block and the rest
     # in the rare-term index, so both halves of the screen run
@@ -677,7 +735,8 @@ def test_cli_vocab_tokenize_fertility(tmp_path, capsys):
     assert "fertility 1.0000" in capsys.readouterr().out
 
 
-def test_cli_bench_build(tmp_path, capsys):
+def write_bench_inputs(tmp_path):
+    """docs.jsonl and codes.csv of 60 planted patients, two documents each."""
     planted = benchmark_corpus(n_patients=60, docs_per_patient=2, seed=5, n_codes=8)
     docs_path = tmp_path / "docs.jsonl"
     write_documents(docs_path, planted.documents)
@@ -686,6 +745,11 @@ def test_cli_bench_build(tmp_path, capsys):
         fh.write("patient_ref,code,system,date\n")
         for row in planted.code_rows:
             fh.write("{patient_ref},{code},{system},{date}\n".format(**row))
+    return docs_path, codes_path
+
+
+def test_cli_bench_build(tmp_path, capsys):
+    docs_path, codes_path = write_bench_inputs(tmp_path)
     out_dir = tmp_path / "task"
     code = cli.main(
         [
@@ -718,6 +782,22 @@ def test_cli_bench_split(tmp_path, capsys):
         ["bench", "split", str(path), "--sizes", "6", "2", "2", "--out-dir", str(out_dir)]
     )
     assert code == 0
+    assert len((out_dir / "train.jsonl").read_text().splitlines()) == 6
+
+
+def test_cli_bench_split_without_patient_refs_asks_for_no_patient_grouping(tmp_path, capsys):
+    # bench build exports no patient_ref, so its splits cannot be regrouped
+    path = tmp_path / "train.jsonl"
+    write_examples_jsonl(
+        path, [LabeledExample(f"d{i}", "text", {"L"}, patient_ref=f"p{i // 2}") for i in range(10)]
+    )
+    out_dir = tmp_path / "split"
+    argv = ["bench", "split", str(path), "--sizes", "6", "2", "2", "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and "--no-patient-grouping" in err
+    assert not out_dir.exists()
+    assert cli.main([*argv, "--no-patient-grouping"]) == 0
     assert len((out_dir / "train.jsonl").read_text().splitlines()) == 6
 
 
@@ -919,6 +999,19 @@ def test_cli_eval_ner_repeated_label_names_labels_file(tmp_path, capsys):
     )
     assert code == 2
     assert f"error: {labels}: label 'X' is given twice" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("line", ["Herr\tgarbage", "Herr\t"])
+def test_cli_eval_ner_gold_tag_that_is_not_bio_names_file_and_line(tmp_path, capsys, line):
+    gold_path = tmp_path / "gold.conll"
+    gold_path.write_text(f"Befund\tO\n{line}\n", encoding="utf-8")
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(pred_path, [{"tags": ["O", "O"]}])
+    report = tmp_path / "ner.json"
+    argv = ["eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path)]
+    assert cli.main([*argv, "--report", str(report)]) == 2
+    assert f"error: {gold_path}: line 2: malformed tag " in capsys.readouterr().err
     assert not report.exists()
 
 
