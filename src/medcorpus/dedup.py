@@ -1,9 +1,10 @@
 """Near-duplicate removal over bag-of-words cosine similarity.
 
-Two engines produce identical results. They differ only in their
-candidate source, the earlier documents each document is verified
-against; the walk of each mode, every similarity decision and the report
-are shared:
+Both engines work on :class:`TermRows`, the bag-of-words rows of a
+document sequence as flat arrays of term ids and counts. They produce
+identical results and differ only in their candidate source, the earlier
+documents each document is verified against; the walk of each mode, every
+similarity decision and the report are shared:
 
 * :func:`dedup_exact` offers every earlier document. Quadratic, trivially
   auditable, the reference that the tests hold the indexed engine to.
@@ -14,7 +15,8 @@ are shared:
   of the threshold. A pair it skips cannot exceed the threshold, so the
   keep set, the removal set, and the clusters are identical; only
   ``pairs_examined`` may differ. :func:`dedup_documents`, which the CLI
-  and the pipeline call, runs this engine.
+  and the pipeline call, tokenizes each source straight into its rows and
+  runs this engine.
 
 Candidate generation never filters terms by document frequency. Dropping
 high-frequency terms from the index looks attractive but is unsound: two
@@ -29,7 +31,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, islice
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -51,10 +53,11 @@ COMPARISONS = {"strict": COMPARISON_STRICT, "inclusive": COMPARISON_INCLUSIVE}
 # exceed the threshold under exact verification.
 _SCORE_MARGIN = 1e-6
 
-# Participant rows scored per screening block. A block is scored against
-# the columns up to its own end, the lower triangle of the pair matrix, so
-# the score buffer holds at most BLOCK_ROWS x n floats, for the last block.
-BLOCK_ROWS = 512
+# Floats in the screen's score buffer (8 MiB). Blocks of max(1, budget // n)
+# of the n participant rows are each scored against the columns up to their
+# own end, the lower triangle of the pair matrix, so the buffer never holds
+# more than the budget, or one row of n floats once n exceeds it.
+SCORE_BUFFER_FLOATS = 1 << 20
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
@@ -78,14 +81,19 @@ class BowVector:
     def __post_init__(self) -> None:
         if not self.counts:
             raise EmptyVectorError(f"document {self.doc_id!r} has an empty term vector")
-        values = self.counts.values()
-        if min(values) <= 0:
+        if min(self.counts.values()) <= 0:
             raise ValueError("bag-of-words counts must be positive")
-        self.norm = math.sqrt(sum(map(mul, values, values)))
+        self.norm = _norm(self.counts)
 
     def n_terms(self) -> int:
         """Total number of analyzed term occurrences."""
         return sum(self.counts.values())
+
+
+def _norm(counts: dict[str, int]) -> float:
+    """The Euclidean norm of term counts, from their exact sum of squares."""
+    values = counts.values()
+    return math.sqrt(sum(map(mul, values, values)))
 
 
 def vectorize(doc: Document) -> BowVector:
@@ -95,8 +103,90 @@ def vectorize(doc: Document) -> BowVector:
     Documents with no alphanumeric content cannot be compared and raise
     :class:`EmptyVectorError`.
     """
-    # Counter keeps first-occurrence order, which the screen's term ids follow
-    return BowVector(doc.id, Counter(_TOKEN_RE.findall(doc.text.lower())))
+    return BowVector(doc.id, _term_counts(doc.text))
+
+
+def _term_counts(text: str) -> Counter:
+    # Counter keeps first-occurrence order, which every row's term ids follow
+    return Counter(_TOKEN_RE.findall(text.lower()))
+
+
+class _TermIds(dict):
+    # a term seen for the first time gets the next id
+    def __missing__(self, term: str) -> int:
+        self[term] = i = len(self)
+        return i
+
+
+@dataclass
+class TermRows:
+    """The bag-of-words rows of a document sequence as flat stdlib arrays,
+    which numpy reads in place, one row per document with terms, in input
+    order. ``ids`` and ``counts`` hold the rows one after another, each in
+    its own first-occurrence term order, with ids numbered by first sight;
+    ``lengths`` holds each row's number of terms, ``norms`` the Euclidean
+    norm of its counts and ``n_words`` its number of term occurrences."""
+
+    doc_ids: list[str]
+    ids: array
+    counts: array
+    lengths: array
+    norms: array
+    n_words: array
+
+    @classmethod
+    def _from_counts(cls, rows: Iterable[tuple[str, dict[str, int]]]) -> "TermRows":
+        """The rows of ``(doc_id, term counts)`` pairs, as the two feeders
+        below give them."""
+        from array import array  # loaded by the first dedup, not at CLI start-up
+
+        out = cls([], array("q"), array("q"), array("q"), array("d"), array("q"))
+        id_of = _TermIds().__getitem__
+        for doc_id, counts in rows:
+            if not counts:
+                continue
+            values = counts.values()
+            out.doc_ids.append(doc_id)
+            out.ids.extend(map(id_of, counts))
+            out.counts.extend(values)
+            out.lengths.append(len(counts))
+            out.norms.append(_norm(counts))
+            out.n_words.append(sum(values))
+        return out
+
+    @classmethod
+    def from_documents(cls, docs: Iterable[Document]) -> "TermRows":
+        """Tokenize the documents straight into rows, as :func:`vectorize`
+        would, without keeping a vector per document."""
+        return cls._from_counts((doc.id, _term_counts(doc.text)) for doc in docs)
+
+    @classmethod
+    def from_vectors(cls, vectors: Iterable[BowVector]) -> "TermRows":
+        return cls._from_counts((v.doc_id, v.counts) for v in vectors)
+
+
+def _cosine(rows: TermRows) -> Callable[[int, int], float]:
+    """The exact cosine of two rows, bit-identical to
+    :func:`cosine_similarity` of their vectors: the dot of integer counts
+    is exact, here in Python ints and there in float64, whatever the order
+    of its terms, and the product of the two norms commutes. A row's
+    ``{term id: count}`` map is built when the row is first verified."""
+    starts = list(accumulate(rows.lengths, initial=0))
+    maps: dict[int, dict[int, int]] = {}
+
+    def counts_of(i: int) -> dict[int, int]:
+        m = maps.get(i)
+        if m is None:
+            lo, hi = starts[i], starts[i + 1]
+            m = maps[i] = dict(zip(rows.ids[lo:hi], rows.counts[lo:hi]))
+        return m
+
+    def cosine(i: int, j: int) -> float:
+        a, b = counts_of(i), counts_of(j)
+        dot = sum([count * b[t] for t, count in a.items() if t in b])
+        return min(1.0, dot / (rows.norms[i] * rows.norms[j]))
+
+    return cosine
 
 
 def cosine_similarity(a: BowVector, b: BowVector) -> float:
@@ -195,11 +285,11 @@ class DedupReport:
         return obj
 
 
-def _participants(vectors: Sequence[BowVector], cfg: DedupConfig) -> list[int]:
-    """The indices that take part in dedup, ascending; long documents
+def _participants(rows: TermRows, cfg: DedupConfig) -> list[int]:
+    """The row indices that take part in dedup, ascending; long documents
     bypass it entirely when max_doc_words is set."""
     limit = cfg.max_doc_words
-    return [i for i, v in enumerate(vectors) if limit is None or v.n_terms() <= limit]
+    return [i for i, words in enumerate(rows.n_words) if limit is None or words <= limit]
 
 
 class _UnionFind:
@@ -229,11 +319,12 @@ _Candidates = Callable[[int], Iterable[int]]
 
 
 def _representative_walk(
-    vectors: Sequence[BowVector], cfg: DedupConfig, participants: list[int], candidates: _Candidates
+    rows: TermRows, cfg: DedupConfig, participants: list[int], candidates: _Candidates
 ) -> tuple[list[Cluster], int]:
     """Greedy scan in input order: a participant joins the first kept
     candidate it exceeds the threshold with, and is kept if there is none."""
     exceeds = cfg.exceeds()
+    cosine = _cosine(rows)
     kept: set[int] = set()
     members: dict[int, list[int]] = {}
     pairs_examined = 0
@@ -241,104 +332,113 @@ def _representative_walk(
         for j in candidates(i):
             if j in kept:
                 pairs_examined += 1
-                if exceeds(cosine_similarity(vectors[i], vectors[j])):
+                if exceeds(cosine(i, j)):
                     members.setdefault(j, []).append(i)
                     break
         else:
             kept.add(i)
-    clusters = [
-        Cluster(vectors[j].doc_id, [vectors[m].doc_id for m in members[j]])
-        for j in sorted(members)
-    ]
+    ids = rows.doc_ids
+    clusters = [Cluster(ids[j], [ids[m] for m in members[j]]) for j in sorted(members)]
     return clusters, pairs_examined
 
 
 def _literal_drop(
-    vectors: Sequence[BowVector], cfg: DedupConfig, participants: list[int], candidates: _Candidates
+    rows: TermRows, cfg: DedupConfig, participants: list[int], candidates: _Candidates
 ) -> tuple[list[Cluster], int]:
     """Remove every participant with at least one neighbor over the
     threshold; clusters are connected components of the neighbor graph."""
     exceeds = cfg.exceeds()
-    uf = _UnionFind(len(vectors))
+    cosine = _cosine(rows)
+    uf = _UnionFind(len(rows.doc_ids))
     removed: set[int] = set()
     pairs_examined = 0
     for i in participants:
         for j in candidates(i):
             pairs_examined += 1
-            if exceeds(cosine_similarity(vectors[j], vectors[i])):
+            if exceeds(cosine(j, i)):
                 removed.update((i, j))
                 uf.union(i, j)
     # ascending members, so the components come out by their earliest member
     components: dict[int, list[int]] = {}
     for i in sorted(removed):
         components.setdefault(uf.find(i), []).append(i)
-    clusters = [
-        Cluster(vectors[comp[0]].doc_id, [vectors[m].doc_id for m in comp])
-        for comp in components.values()
-    ]
+    ids = rows.doc_ids
+    clusters = [Cluster(ids[comp[0]], [ids[m] for m in comp]) for comp in components.values()]
     return clusters, pairs_examined
 
 
 def _dedup(
-    vectors: Sequence[BowVector],
+    data: TermRows | Sequence[BowVector],
     cfg: DedupConfig,
-    screen: Callable[[list[int]], _Candidates],
+    screen: Callable[[TermRows, list[int]], _Candidates],
 ) -> DedupReport:
     """Run the mode's walk on the candidates that ``screen`` returns for
-    the participants; the engines differ only in their screen."""
+    the participants; the engines differ only in their screen. Both take
+    the rows of a source or its vectors."""
+    rows = data if isinstance(data, TermRows) else TermRows.from_vectors(data)
     seen: set[str] = set()
-    for v in vectors:
-        if v.doc_id in seen:
-            raise ValueError(f"duplicate doc_id {v.doc_id!r} in dedup input")
-        seen.add(v.doc_id)
-    participants = _participants(vectors, cfg)
+    for doc_id in rows.doc_ids:
+        if doc_id in seen:
+            raise ValueError(f"duplicate doc_id {doc_id!r} in dedup input")
+        seen.add(doc_id)
+    participants = _participants(rows, cfg)
     walk = _representative_walk if cfg.mode == MODE_REPRESENTATIVE else _literal_drop
-    clusters, pairs_examined = walk(vectors, cfg, participants, screen(participants))
+    clusters, pairs_examined = walk(rows, cfg, participants, screen(rows, participants))
     removed = {m for c in clusters for m in c.members}
     return DedupReport(
         mode=cfg.mode,
         threshold=cfg.threshold,
         comparison=cfg.comparison,
-        n_input=len(vectors),
-        n_kept=len(vectors) - len(removed),
+        n_input=len(rows.doc_ids),
+        n_kept=len(rows.doc_ids) - len(removed),
         n_removed=len(removed),
         clusters=clusters,
         pairs_examined=pairs_examined,
-        kept_ids=[v.doc_id for v in vectors if v.doc_id not in removed],
+        kept_ids=[doc_id for doc_id in rows.doc_ids if doc_id not in removed],
     )
 
 
-def dedup_exact(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()) -> DedupReport:
+def dedup_exact(
+    vectors: TermRows | Sequence[BowVector], cfg: DedupConfig = DedupConfig()
+) -> DedupReport:
     """Reference engine: every pair of participating documents is compared."""
 
-    def every_earlier(participants: list[int]) -> _Candidates:
+    def every_earlier(rows: TermRows, participants: list[int]) -> _Candidates:
         return lambda i: islice(participants, bisect_left(participants, i))
 
     return _dedup(vectors, cfg, every_earlier)
 
 
 def _score_matrices(
-    vectors: Sequence[BowVector], participants: list[int]
+    bow: TermRows, participants: list[int]
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """The unit-normalised participant rows, split by document frequency:
     a dense block of the common terms (None when there are none) and the
     entries of the rest, the rare entries, as three arrays: row, term id
     and weight.
 
-    Term ids follow first-seen order. The rare entries are in row order and
-    every row keeps its own term order, so the dense column order and the
-    order in which the screen sums a pair's shared rare terms depend only
-    on the input."""
+    Term ids follow first-seen order over the participants. The rare
+    entries are in row order and every row keeps its own term order, so the
+    dense column order and the order in which the screen sums a pair's
+    shared rare terms depend only on the input."""
     import numpy as np  # the screen alone needs numpy; other commands start without it
 
     n = len(participants)
-    counts_of = [vectors[idx].counts for idx in participants]
-    terms = list(chain.from_iterable(counts_of))
-    term_col = {t: i for i, t in enumerate(dict.fromkeys(terms))}
-    ids = np.fromiter(map(term_col.__getitem__, terms), np.intp, len(terms))
-    lengths = np.fromiter(map(len, counts_of), np.intp, n)
-    weights = np.fromiter(chain.from_iterable(c.values() for c in counts_of), float, len(terms))
-    inv_norms = 1.0 / np.fromiter((vectors[idx].norm for idx in participants), float, n)
+    ids = np.frombuffer(bow.ids, np.int64)
+    lengths = np.frombuffer(bow.lengths, np.int64)
+    weights = np.frombuffer(bow.counts, np.int64).astype(float)
+    inv_norms = 1.0 / np.frombuffer(bow.norms)
+    if n < len(lengths):
+        # max_doc_words bypassed some rows: keep the participants' entries
+        # and renumber their terms by first sight among the participants
+        part = np.zeros(len(lengths), dtype=bool)
+        part[participants] = True
+        entries = np.repeat(part, lengths)
+        lengths, inv_norms = lengths[part], inv_norms[part]
+        _, first, inverse = np.unique(ids[entries], return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ids, weights = rank[inverse], weights[entries]
     weights *= np.repeat(inv_norms, lengths)
     rows = np.repeat(np.arange(n), lengths)
 
@@ -363,7 +463,7 @@ def _score_matrices(
 
 
 def _near_threshold_pairs(
-    vectors: Sequence[BowVector],
+    bow: TermRows,
     participants: list[int],
     cfg: DedupConfig,
 ) -> dict[int, list[int]]:
@@ -385,7 +485,7 @@ def _near_threshold_pairs(
     n = len(participants)
     if n == 0:
         return {}
-    dense, rows, ids, weights = _score_matrices(vectors, participants)
+    dense, rows, ids, weights = _score_matrices(bow, participants)
 
     # The inverted index. Postings are the rare entries grouped by term, in
     # row order within a term, as the sort is stable. Entry e meets the
@@ -406,9 +506,8 @@ def _near_threshold_pairs(
 
     part = np.asarray(participants)
     cutoff = cfg.threshold - _SCORE_MARGIN
-    block = min(BLOCK_ROWS, n)
+    block = min(n, max(1, SCORE_BUFFER_FLOATS // n))
     buf = np.empty(block * n)
-    upper = np.triu(np.ones((block, block), dtype=bool))
     out: dict[int, list[int]] = {}
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -437,13 +536,16 @@ def _near_threshold_pairs(
             lo = end
         # drop each pair with itself and the pairs a later block owns; -inf,
         # not 0, because a threshold within the margin gives a cutoff <= 0
-        np.copyto(scores[:, start:], -np.inf, where=upper[: stop - start, : stop - start])
+        for r in range(stop - start):
+            scores[r, start + r :] = -np.inf
         for r in np.flatnonzero(scores.max(axis=1) >= cutoff).tolist():
             out[participants[start + r]] = part[np.flatnonzero(scores[r] >= cutoff)].tolist()
     return out
 
 
-def dedup_indexed(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()) -> DedupReport:
+def dedup_indexed(
+    vectors: TermRows | Sequence[BowVector], cfg: DedupConfig = DedupConfig()
+) -> DedupReport:
     """Accelerated engine with output identical to :func:`dedup_exact`.
 
     Pairs whose approximate score cannot reach the threshold are skipped;
@@ -451,8 +553,8 @@ def dedup_indexed(vectors: Sequence[BowVector], cfg: DedupConfig = DedupConfig()
     order the exact engine would have used.
     """
 
-    def screened(participants: list[int]) -> _Candidates:
-        pairs = _near_threshold_pairs(vectors, participants, cfg)
+    def screened(rows: TermRows, participants: list[int]) -> _Candidates:
+        pairs = _near_threshold_pairs(rows, participants, cfg)
         return lambda i: pairs.get(i, ())
 
     return _dedup(vectors, cfg, screened)
@@ -475,13 +577,7 @@ def dedup_documents(
     removed: set[tuple[str, str]] = set()
     reports: dict[str, DedupReport] = {}
     for source in sorted(groups):
-        # vectorize one source at a time, so only its vectors are held
-        vectors = []
-        for doc in groups[source]:
-            try:
-                vectors.append(vectorize(doc))
-            except EmptyVectorError:
-                pass  # nothing to compare it with, so it stays
-        reports[source] = dedup_indexed(vectors, cfg)
+        # tokenize one source at a time, so only its rows are held
+        reports[source] = dedup_indexed(TermRows.from_documents(groups[source]), cfg)
         removed.update((source, doc_id) for doc_id in reports[source].removed_ids())
     return [d for d in docs if (d.source, d.id) not in removed], reports

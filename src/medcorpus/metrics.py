@@ -12,6 +12,7 @@ nowhere. Reports carry percent-scaled values, rendered with two decimals.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
@@ -287,26 +288,33 @@ def write_report(report: MetricReport, json_path=None, tsv_path=None) -> None:
 
 
 def _is_score_map(obj: object) -> bool:
-    return isinstance(obj, Mapping) and all(isinstance(v, (int, float)) for v in obj.values())
+    # a score converts to a finite float; JSON's NaN, Infinity and true load
+    # as a float or a bool, and none of them ranks
+    return isinstance(obj, Mapping) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+        for v in obj.values()
+    )
 
 
 def prediction_scores(row: object) -> tuple[str, Mapping[str, float]]:
     """The id and the score map of one classification prediction row: an
-    object with a string ``id`` and a ``scores`` object of numbers. A row of
-    another shape is a ``ValueError``."""
+    object with a string ``id`` and a ``scores`` object of finite numbers. A
+    row of another shape is a ``ValueError``."""
     doc_id = row.get("id") if isinstance(row, Mapping) else None
     if not isinstance(doc_id, str):
         raise ValueError("prediction row is not an object with a string 'id'")
     if not _is_score_map(row.get("scores")):
-        raise ValueError(f"prediction row {doc_id!r} without a 'scores' object of numbers")
+        raise ValueError(
+            f"prediction row {doc_id!r} without a 'scores' object of finite numbers"
+        )
     return doc_id, row["scores"]
 
 
 def ner_prediction(row: object) -> tuple[list[str], list[Mapping[str, float]] | None]:
     """The tags and, when given, the per-token score maps of one NER
     prediction row: an object with a ``tags`` list of strings and an
-    optional ``scores`` list of objects of numbers, one per tag. A row of
-    another shape is a ``ValueError``."""
+    optional ``scores`` list of objects of finite numbers, one per tag. A row
+    of another shape is a ``ValueError``."""
     tags = row.get("tags") if isinstance(row, Mapping) else None
     if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
         raise ValueError("NER prediction row without a 'tags' list of strings")
@@ -314,7 +322,7 @@ def ner_prediction(row: object) -> tuple[list[str], list[Mapping[str, float]] | 
     if scores is not None and not (
         isinstance(scores, list) and all(_is_score_map(sc) for sc in scores)
     ):
-        raise ValueError("NER prediction 'scores' must be a list of objects of numbers")
+        raise ValueError("NER prediction 'scores' must be a list of objects of finite numbers")
     if scores is not None and len(scores) != len(tags):
         raise ValueError(f"NER prediction has {len(tags)} tags but {len(scores)} score maps")
     return tags, scores

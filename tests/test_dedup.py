@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -14,12 +17,14 @@ from medcorpus.dedup import (
     BowVector,
     DedupConfig,
     EmptyVectorError,
+    TermRows,
     cosine_similarity,
+    dedup_documents,
     dedup_exact,
     dedup_indexed,
     vectorize,
 )
-from medcorpus.synth import bow_corpus, radiology_corpus
+from medcorpus.synth import bow_corpus, pii_corpus, radiology_corpus
 
 
 def vec(doc_id, counts):
@@ -291,7 +296,8 @@ def test_indexed_equals_exact(count_dicts, params):
         threshold=threshold, comparison=comparison, mode=mode, max_doc_words=max_words
     )
     exact = dedup_exact(vectors, cfg)
-    with mock.patch.object(dedup, "BLOCK_ROWS", 7):  # many blocks on small corpora
+    # blocks of 7 rows or more, so many blocks on small corpora
+    with mock.patch.object(dedup, "SCORE_BUFFER_FLOATS", 7 * len(vectors)):
         indexed = dedup_indexed(vectors, cfg)
     assert report_key(indexed) == report_key(exact)
 
@@ -322,3 +328,98 @@ def test_shared_high_frequency_term_pair_is_found():
         indexed = dedup_indexed(vectors, cfg)
         assert report_key(indexed) == report_key(exact)
         assert "b" in exact.removed_ids() or "a" in exact.removed_ids()
+
+
+# --- rows tokenized straight from the text ----------------------------------
+
+
+def three_sources(seed: int) -> list[Document]:
+    """Seeded documents of three sources, interleaved, with exact copies
+    and documents that have no terms."""
+    rng = random.Random(seed)
+    docs = (
+        radiology_corpus(250, 0.2, seed=seed).documents
+        + pii_corpus(120, seed=seed).documents
+        + bow_corpus(150, 300, 0.15, seed=seed).documents
+    )
+    docs += [dataclasses.replace(d, id=f"copy-{d.id}") for d in rng.sample(docs, 12)]
+    docs += [doc(f"blank-{i}", text) for i, text in enumerate(["", " -- ", "_;_", "..."])]
+    rng.shuffle(docs)
+    return docs
+
+
+def vectors_with_terms(docs: list[Document]) -> list[BowVector]:
+    vectors = []
+    for d in docs:
+        try:
+            vectors.append(vectorize(d))
+        except EmptyVectorError:
+            pass
+    return vectors
+
+
+def per_source(docs: list[Document], cfg: DedupConfig, engine):
+    """The kept documents and the per-source reports of ``engine`` on the
+    vectors of each source's documents that have terms."""
+    groups: dict[str, list[Document]] = {}
+    for d in docs:
+        groups.setdefault(d.source, []).append(d)
+    reports = {s: engine(vectors_with_terms(groups[s]), cfg) for s in sorted(groups)}
+    removed = {(s, i) for s, r in reports.items() for i in r.removed_ids()}
+    return [d for d in docs if (d.source, d.id) not in removed], reports
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("threshold", [0.75, 1.0])
+@pytest.mark.parametrize("comparison", [COMPARISON_STRICT, COMPARISON_INCLUSIVE])
+@pytest.mark.parametrize("mode", [MODE_REPRESENTATIVE, MODE_LITERAL])
+@pytest.mark.parametrize("max_doc_words", [None, 40])
+def test_dedup_documents_equals_exact_engine_per_source(
+    seed, threshold, comparison, mode, max_doc_words
+):
+    docs = three_sources(seed)
+    cfg = DedupConfig(threshold, comparison, mode, max_doc_words)
+    kept, reports = dedup_documents(docs, cfg)
+    want_kept, want_reports = per_source(docs, cfg, dedup_exact)
+    assert list(reports) == list(want_reports) == ["ehr", "other", "radiology-report"]
+    # the engines differ in the pairs they verify alone
+    screened = per_source(docs, cfg, dedup_indexed)[1]
+    for source, report in reports.items():
+        assert report.pairs_examined == screened[source].pairs_examined
+        want = dataclasses.replace(want_reports[source], pairs_examined=report.pairs_examined)
+        assert report.to_obj() == want.to_obj()
+        assert report.kept_ids == want.kept_ids
+    assert kept == want_kept
+    assert {f"blank-{i}" for i in range(4)} <= {d.id for d in kept}
+
+
+_texts = st.lists(st.text(alphabet="abcäß AB_-,.12", max_size=30), max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts)
+def test_text_and_vector_feeders_build_equal_rows(texts):
+    docs = [doc(f"d{i}", text) for i, text in enumerate(texts)]
+    from_text = TermRows.from_documents(docs)
+    vectors = vectors_with_terms(docs)
+    assert from_text == TermRows.from_vectors(vectors)
+    assert from_text.doc_ids == [v.doc_id for v in vectors]
+    # ids are numbered by first sight
+    first_seen = list(dict.fromkeys(from_text.ids))
+    assert first_seen == list(range(len(first_seen)))
+    assert list(from_text.norms) == [v.norm for v in vectors]
+
+
+def test_dedup_documents_memory_stays_bounded():
+    docs = radiology_corpus(3000, 0.19, seed=0).documents
+    import numpy  # noqa: F401  the screen's first import of numpy is not dedup's memory
+
+    tracemalloc.start()
+    try:
+        dedup_documents(docs, DedupConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 19 MiB: the rows of the source, the screen's matrices and its
+    # fixed 8 MiB score buffer; a vector per document took 34 MiB
+    assert peak < 26 * 2**20

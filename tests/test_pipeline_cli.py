@@ -1030,6 +1030,9 @@ def test_cli_eval_ner_count_mismatch(tmp_path, capsys):
         {"tags": ["O"], "scores": 5},
         {"tags": ["O"], "scores": [1]},
         {"tags": ["O"], "scores": [{"PER": None}]},
+        {"tags": ["O"], "scores": [{"PER": float("nan")}]},
+        {"tags": ["O"], "scores": [{"PER": float("inf")}]},
+        {"tags": ["O"], "scores": [{"PER": False}]},
         # one score map per tag, and every tag a string
         {"tags": ["O"], "scores": [{}, {}]},
         {"tags": ["O"], "scores": []},
@@ -1068,7 +1071,28 @@ BAD_PREDICTION_ROWS = [
     {"id": "d1", "scores": [0.9]},
     {"id": "d1", "scores": {"A": "0.9"}},
     {"id": "d1", "scores": {"A": [0.9]}},
+    # scores are finite numbers; JSON's NaN and Infinity and true are not
+    {"id": "d1", "scores": {"A": float("nan")}},
+    {"id": "d1", "scores": {"A": float("inf")}},
+    {"id": "d1", "scores": {"A": float("-inf")}},
+    {"id": "d1", "scores": {"A": True}},
+    {"id": "d1", "scores": {"A": 10**400}},
 ]
+
+
+def test_cli_eval_clf_nan_score_is_a_data_error(tmp_path, capsys):
+    # a NaN score once ranked after every number and gave AUROC 100
+    gold_path = tmp_path / "gold.jsonl"
+    write_examples_jsonl(
+        gold_path, [LabeledExample("d1", "t", {"A"}), LabeledExample("d2", "t", {"B"})]
+    )
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text('{"id": "d1", "scores": {"A": NaN, "B": 0.1}}\n', encoding="utf-8")
+    code = cli.main(["eval", "clf", "--gold", str(gold_path), "--pred", str(pred_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {pred_path}: line 1: " in captured.err
+    assert "AUROC" not in captured.out
 
 
 @pytest.mark.parametrize("bad_row", BAD_PREDICTION_ROWS)

@@ -20,9 +20,9 @@ from scipy import sparse
 from medcorpus import dedup
 from medcorpus.dedup import (
     _SCORE_MARGIN,
-    BLOCK_ROWS,
     BowVector,
     DedupConfig,
+    TermRows,
     _near_threshold_pairs,
     _participants,
     vectorize,
@@ -31,6 +31,9 @@ from medcorpus.synth import pii_corpus, radiology_corpus
 
 
 # --- reference: full-width blocks with a COO scatter -----------------------
+
+# the reference's own block size, in rows
+BLOCK_ROWS = 512
 
 
 def reference_near_threshold_pairs(
@@ -119,9 +122,16 @@ def reference_near_threshold_pairs(
 # --- differential tests -----------------------------------------------------
 
 
-def assert_same_screen(vectors: list[BowVector], cfg: DedupConfig) -> dict[int, list[int]]:
-    participants = _participants(vectors, cfg)
-    got = _near_threshold_pairs(vectors, participants, cfg)
+def assert_same_screen(
+    vectors: list[BowVector], cfg: DedupConfig, block_rows: int | None = None
+) -> dict[int, list[int]]:
+    """Compare the screens, the new one in blocks of ``block_rows`` rows,
+    through its score buffer budget, or under the module's budget."""
+    rows = TermRows.from_vectors(vectors)
+    participants = _participants(rows, cfg)
+    budget = dedup.SCORE_BUFFER_FLOATS if block_rows is None else block_rows * len(participants)
+    with mock.patch.object(dedup, "SCORE_BUFFER_FLOATS", budget):
+        got = _near_threshold_pairs(rows, participants, cfg)
     want = reference_near_threshold_pairs(vectors, participants, cfg)
     assert list(got.items()) == list(want.items())
     return got
@@ -146,12 +156,19 @@ def test_screen_matches_reference_on_boilerplate_notes():
     [DedupConfig(threshold=1.0), DedupConfig(threshold=1e-7), DedupConfig(max_doc_words=40)],
     ids=["threshold-1", "threshold-1e-7", "max-doc-words"],
 )
-@pytest.mark.parametrize("block_rows", [7, BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [7, None])
 def test_screen_matches_reference_at_edge_settings(cfg, block_rows):
     # below a threshold of the margin every earlier participant is a
     # candidate, so a pair with itself or a later one would show up
     vectors = vectors_of(radiology_corpus(300, 0.19, seed=3).documents)
-    with mock.patch.object(dedup, "BLOCK_ROWS", block_rows):
+    assert_same_screen(vectors, cfg, block_rows)
+
+
+@pytest.mark.parametrize("cfg", [DedupConfig(), DedupConfig(threshold=1e-7)])
+def test_screen_matches_reference_when_the_budget_is_below_one_row(cfg):
+    # a budget below the 300 columns of a row still scores one row a block
+    vectors = vectors_of(radiology_corpus(300, 0.19, seed=3).documents)
+    with mock.patch.object(dedup, "SCORE_BUFFER_FLOATS", 299):
         assert_same_screen(vectors, cfg)
 
 
@@ -178,8 +195,7 @@ _corpora = st.lists(_counts, max_size=30) | st.lists(_with_boilerplate, min_size
 def test_screen_matches_reference_on_small_blocks(count_dicts, block_rows, threshold, max_words):
     vectors = [BowVector(f"d{i}", c) for i, c in enumerate(count_dicts)]
     cfg = DedupConfig(threshold=threshold, max_doc_words=max_words)
-    with mock.patch.object(dedup, "BLOCK_ROWS", block_rows):
-        assert_same_screen(vectors, cfg)
+    assert_same_screen(vectors, cfg, block_rows)
 
 
 # --- edges of the rare-term index --------------------------------------------
@@ -187,19 +203,36 @@ def test_screen_matches_reference_on_small_blocks(count_dicts, block_rows, thres
 
 def rare_entry_rows(vectors: list[BowVector]) -> list[int]:
     """The row of each rare entry, in the screen's row order."""
-    return dedup._score_matrices(vectors, list(range(len(vectors))))[1].tolist()
+    rows = TermRows.from_vectors(vectors)
+    return dedup._score_matrices(rows, list(range(len(vectors))))[1].tolist()
 
 
 def rare_contributions(vectors: list[BowVector]) -> list[int]:
     """Per row, the rare-term products the screen adds: for each of the
     row's rare terms, one per earlier row that holds the term."""
-    _, rows, ids, _ = dedup._score_matrices(vectors, list(range(len(vectors))))
+    bow = TermRows.from_vectors(vectors)
+    _, rows, ids, _ = dedup._score_matrices(bow, list(range(len(vectors))))
     seen: Counter = Counter()
     per_row = [0] * len(vectors)
     for row, term in zip(rows.tolist(), ids.tolist()):
         per_row[row] += seen[term]
         seen[term] += 1
     return per_row
+
+
+def test_score_matrices_of_participants_equal_those_of_the_participants_alone():
+    # max_doc_words bypasses rows, some of which see terms first; the
+    # participants' terms are renumbered by first sight among them, which
+    # keeps the dense column order and the rare term ids
+    vectors = vectors_of(radiology_corpus(300, 0.19, seed=3).documents)
+    rows = TermRows.from_vectors(vectors)
+    participants = _participants(rows, DedupConfig(max_doc_words=40))
+    assert 0 < len(participants) < len(vectors)
+    alone = TermRows.from_vectors([vectors[i] for i in participants])
+    got = dedup._score_matrices(rows, participants)
+    want = dedup._score_matrices(alone, list(range(len(participants))))
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_screen_matches_reference_without_rare_entries():
@@ -223,8 +256,7 @@ def test_screen_matches_reference_on_a_block_without_rare_entries(threshold):
     ]
     vectors += [BowVector(f"e{i}", {"b": i + 1}) for i in range(8)]
     assert set(rare_entry_rows(vectors)) == set(range(72))
-    with mock.patch.object(dedup, "BLOCK_ROWS", 8):
-        got = assert_same_screen(vectors, DedupConfig(threshold=threshold))
+    got = assert_same_screen(vectors, DedupConfig(threshold=threshold), block_rows=8)
     assert got[79][-7:] == list(range(72, 79))
 
 
@@ -255,6 +287,5 @@ def test_screen_matches_reference_when_runs_split_blocks_and_rows(make_vectors):
     ends = [min(start + block, n) for start in range(0, n, block)]
     assert any(sum(per_row[stop - block : stop]) > stop for stop in ends[:-1])
     assert any(per_row[row] > ends[row // block] for row in range(n))
-    with mock.patch.object(dedup, "BLOCK_ROWS", block):
-        for threshold in (0.75, 0.3):
-            assert assert_same_screen(vectors, DedupConfig(threshold=threshold))
+    for threshold in (0.75, 0.3):
+        assert assert_same_screen(vectors, DedupConfig(threshold=threshold), block)
