@@ -224,11 +224,13 @@ def cmd_bench_split(args) -> int:
 
 
 def _read_labels(path: str | None) -> list[str] | None:
-    """The labels of a ``--labels`` file, None without one; a label given
-    twice is a ``ValueError`` that names the file."""
+    """The labels of a ``--labels`` file, None without one; a file without
+    entries or a label given twice is a ``ValueError`` that names the file."""
     if not path:
         return None
     labels = corpus_mod.read_lines(path)
+    if not labels:
+        raise ValueError(f"{path}: labels file has no entries")
     try:
         metrics_mod.check_labels(labels)
     except ValueError as exc:

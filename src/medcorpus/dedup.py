@@ -33,9 +33,14 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, islice
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .corpus import Document
+
+if TYPE_CHECKING:  # annotations only: the first dedup imports both
+    from array import array
+
+    import numpy as np
 
 COMPARISON_STRICT = "strict-greater"
 COMPARISON_INCLUSIVE = "greater-or-equal"

@@ -84,6 +84,36 @@ def filter_rare_chars(
     return [t.translate(table) for t in texts], removed
 
 
+class _Segments(dict):
+    """Word -> subword ids by greedy longest-prefix matching, a word that
+    cannot be segmented being the unknown id alone. Each word is segmented on
+    first use, so the memo grows with the distinct words segmented."""
+
+    def __init__(self, ids: dict[str, int]) -> None:
+        self._ids = ids
+        self._unk = (ids[UNK_TOKEN],)
+        self._max_piece = max(len(t.removeprefix(CONTINUATION_PREFIX)) for t in ids)
+
+    def __missing__(self, word: str) -> tuple[int, ...]:
+        if not word:
+            raise ValueError("cannot tokenize an empty word")
+        pieces: list[int] = []
+        pos = 0
+        while pos < len(word):
+            for length in range(min(len(word) - pos, self._max_piece), 0, -1):
+                piece = word[pos : pos + length]
+                tok_id = self._ids.get(CONTINUATION_PREFIX + piece if pos else piece)
+                if tok_id is not None:
+                    pieces.append(tok_id)
+                    pos += length
+                    break
+            else:
+                self[word] = self._unk
+                return self._unk
+        self[word] = segment = tuple(pieces)
+        return segment
+
+
 @dataclass
 class Vocabulary:
     """Token list where index equals id, plus the word-frequency audit map."""
@@ -98,11 +128,7 @@ class Vocabulary:
         self._ids = {tok: i for i, tok in enumerate(self.tokens)}
         if UNK_TOKEN not in self._ids:
             raise ValueError(f"vocabulary has no {UNK_TOKEN} token")
-        prefix = CONTINUATION_PREFIX
-        self._max_piece = max(
-            (len(t) - (len(prefix) if t.startswith(prefix) else 0) for t in self.tokens),
-            default=0,
-        )
+        self.segments = _Segments(self._ids)  # word -> tuple of subword ids
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -257,34 +283,13 @@ def build_vocab(texts: Sequence[str], config: VocabConfig = VocabConfig()) -> Vo
 
 
 def tokenize_word(word: str, vocab: Vocabulary) -> list[int]:
-    """Greedy longest-prefix segmentation; unmatched words collapse to a
-    single unknown id."""
-    if not word:
-        raise ValueError("cannot tokenize an empty word")
-    prefix = CONTINUATION_PREFIX
-    ids: list[int] = []
-    pos = 0
-    while pos < len(word):
-        longest = min(len(word) - pos, vocab._max_piece)
-        match = None
-        for length in range(longest, 0, -1):
-            piece = word[pos : pos + length]
-            if pos > 0:
-                piece = prefix + piece
-            tok_id = vocab.token_id(piece)
-            if tok_id is not None:
-                match = (tok_id, length)
-                break
-        if match is None:
-            return [vocab.unk_id]
-        ids.append(match[0])
-        pos += match[1]
-    return ids
+    """The subword ids of one word, as a new list."""
+    return list(vocab.segments[word])
 
 
-def tokenize_text(text: str, vocab: Vocabulary) -> tuple[list[str], list[list[int]]]:
+def tokenize_text(text: str, vocab: Vocabulary) -> tuple[list[str], list[tuple[int, ...]]]:
     words = extract_words(text)
-    return words, [tokenize_word(w, vocab) for w in words]
+    return words, [vocab.segments[w] for w in words]
 
 
 @dataclass
@@ -338,16 +343,10 @@ def measure_fertility(
     total_words = 0
     total_subwords = 0
     breakdown: list[DocumentFertility] | None = [] if per_document else None
-    # subword count per distinct word: running text repeats most words
-    n_pieces: dict[str, int] = {}
+    segments = vocab.segments
     for doc_id, text in items:
         words = extract_words(text)
-        n_sub = 0
-        for w in words:
-            n = n_pieces.get(w)
-            if n is None:
-                n = n_pieces[w] = len(tokenize_word(w, vocab))
-            n_sub += n
+        n_sub = sum(map(len, map(segments.__getitem__, words)))
         total_words += len(words)
         total_subwords += n_sub
         if breakdown is not None and words:

@@ -1,10 +1,15 @@
 """The incremental BPE merge loop of ``build_vocab`` against the loop it
-replaced, which recounts every pair and rewrites every word on each merge.
+replaced, which recounts every pair and rewrites every word on each merge,
+and the memoized segmenter of a ``Vocabulary`` against the per-call
+``tokenize_word`` loop it replaced.
 
-The reference below is that loop unchanged, with its own copy of the merge
-rule, so a change to either one shows up as a token-file difference.
+The merge reference below is that loop unchanged, with its own copy of the
+merge rule, so a change to either one shows up as a token-file difference.
+The segmentation reference is the old loop unchanged too, with the longest
+piece length computed as the old ``Vocabulary`` did.
 """
 
+import functools
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -20,9 +25,12 @@ from medcorpus.subword import (
     SPECIAL_TOKENS,
     VocabConfig,
     Vocabulary,
+    UNK_TOKEN,
     build_vocab,
     extract_words,
+    filter_rare_chars,
     measure_fertility,
+    tokenize_text,
     tokenize_word,
 )
 
@@ -126,6 +134,43 @@ def oracle_build_vocab(texts: Sequence[str], config: VocabConfig = VocabConfig()
     return Vocabulary(tokens, config, dict(word_freqs))
 
 
+# --- reference: greedy segmentation on every call --------------------------
+
+
+def longest_piece(vocab: Vocabulary) -> int:
+    prefix = CONTINUATION_PREFIX
+    return max(
+        (len(t) - (len(prefix) if t.startswith(prefix) else 0) for t in vocab.tokens),
+        default=0,
+    )
+
+
+def oracle_tokenize_word(word: str, vocab: Vocabulary, max_piece: int) -> list[int]:
+    """Greedy longest-prefix segmentation; unmatched words collapse to a
+    single unknown id."""
+    if not word:
+        raise ValueError("cannot tokenize an empty word")
+    prefix = CONTINUATION_PREFIX
+    ids: list[int] = []
+    pos = 0
+    while pos < len(word):
+        longest = min(len(word) - pos, max_piece)
+        match = None
+        for length in range(longest, 0, -1):
+            piece = word[pos : pos + length]
+            if pos > 0:
+                piece = prefix + piece
+            tok_id = vocab.token_id(piece)
+            if tok_id is not None:
+                match = (tok_id, length)
+                break
+        if match is None:
+            return [vocab.unk_id]
+        ids.append(match[0])
+        pos += match[1]
+    return ids
+
+
 # --- differential tests -----------------------------------------------------
 
 
@@ -180,3 +225,83 @@ def test_fertility_sums_per_word_segmentation():
     assert [d.n_subwords for d in report.per_document] == expected
     assert report.n_subwords == sum(expected)
     assert report.n_words == sum(len(extract_words(text)) for _, text in items)
+
+
+# --- segmentation -----------------------------------------------------------
+
+
+@functools.cache
+def _radiology_vocabularies() -> tuple[dict[int, Vocabulary], list[str]]:
+    """Vocabularies of 200 and 3,000 tokens whose memos hold every held-out
+    word, and the held-out words."""
+    docs = synth.radiology_corpus(1300, dup_rate=0.1, seed=5).documents
+    train, _ = filter_rare_chars([d.text for d in docs[:1000]])
+    held_out = [(d.id, d.text) for d in docs[1000:]]
+    vocabs = {}
+    for size in (200, 3000):
+        vocabs[size] = build_vocab(train, VocabConfig(min_word_freq=20, vocab_size=size))
+        measure_fertility(held_out, vocabs[size])
+    return vocabs, sorted({w for _, text in held_out for w in extract_words(text)})
+
+
+# glyphs that no report holds: a word with one has no segmentation
+_UNSEEN = "€ж☃"
+
+
+def _word_strategy() -> st.SearchStrategy[str]:
+    words = _radiology_vocabularies()[1]
+    letters = sorted({ch for w in words for ch in w})
+    return (
+        st.sampled_from(words)
+        | st.text(alphabet=letters, min_size=1, max_size=24)
+        | st.lists(st.sampled_from(words), min_size=2, max_size=3).map("".join)
+        | st.text(alphabet=letters + list(_UNSEEN), min_size=1, max_size=12)
+    )
+
+
+_words = st.deferred(_word_strategy)
+
+
+def assert_segments_as_oracle(vocab: Vocabulary, words: list[str]) -> None:
+    """Each word segments as the oracle does, on a fresh memo and on the
+    vocabulary's own, warmed one."""
+    longest = longest_piece(vocab)
+    fresh = Vocabulary(vocab.tokens, vocab.config)
+    for w in words:
+        expected = oracle_tokenize_word(w, vocab, longest)
+        assert tokenize_word(w, fresh) == expected
+        assert tokenize_word(w, vocab) == expected
+        assert vocab.segments[w] == tuple(expected)
+        if any(ch in _UNSEEN for ch in w):
+            assert expected == [vocab.token_id(UNK_TOKEN)]
+
+
+@pytest.mark.parametrize("size", [200, 3000])
+def test_held_out_words_segment_as_the_per_call_loop(size):
+    vocabs, words = _radiology_vocabularies()
+    vocab = vocabs[size]
+    longest = longest_piece(vocab)
+    # pieced words, and unknown ones with a glyph no report holds
+    unknown = [w[:1] + _UNSEEN[i % 3] + w[1:] for i, w in enumerate(words[::40])]
+    assert any(len(oracle_tokenize_word(w, vocab, longest)) > 1 for w in words)
+    assert_segments_as_oracle(vocab, words + unknown)
+
+
+@pytest.mark.parametrize("size", [200, 3000])
+@settings(max_examples=300, deadline=None)
+@given(word=_words)
+def test_segmentation_matches_the_per_call_loop(size, word):
+    assert_segments_as_oracle(_radiology_vocabularies()[0][size], [word])
+
+
+@pytest.mark.parametrize("size", [200, 3000])
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(_words, min_size=1, max_size=12))
+def test_tokenize_text_matches_the_per_call_loop(size, words):
+    vocab = _radiology_vocabularies()[0][size]
+    longest = longest_piece(vocab)
+    text = " ".join(words)
+    for memo in (Vocabulary(vocab.tokens, vocab.config), vocab):
+        got_words, ids = tokenize_text(text, memo)
+        expected = [tuple(oracle_tokenize_word(w, vocab, longest)) for w in got_words]
+        assert ids == expected

@@ -1,7 +1,11 @@
 import dataclasses
+import importlib.util
 import math
 import random
+import sys
 import tracemalloc
+import typing
+from array import array
 from unittest import mock
 
 import pytest
@@ -423,3 +427,20 @@ def test_dedup_documents_memory_stays_bounded():
     # about 19 MiB: the rows of the source, the screen's matrices and its
     # fixed 8 MiB score buffer; a vector per document took 34 MiB
     assert peak < 26 * 2**20
+
+
+def test_annotations_resolve_with_the_type_checking_imports(monkeypatch):
+    # array and numpy are bound for type checkers alone, so that the CLI
+    # starts without numpy; a copy of the module run as a checker reads it
+    # must resolve every annotation of the term rows and the screen
+    import numpy as np
+
+    assert not hasattr(dedup, "np") and not hasattr(dedup, "array")
+    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
+    spec = importlib.util.spec_from_file_location("medcorpus._dedup_typed", dedup.__file__)
+    typed = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, typed)
+    spec.loader.exec_module(typed)
+    assert typing.get_type_hints(typed.TermRows)["ids"] is array
+    hints = typing.get_type_hints(typed._score_matrices)
+    assert hints["return"] == tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]

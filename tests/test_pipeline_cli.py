@@ -735,6 +735,32 @@ def test_cli_vocab_tokenize_fertility(tmp_path, capsys):
     assert "fertility 1.0000" in capsys.readouterr().out
 
 
+def test_cli_tokenize_ids_match_fertility_subwords_per_document(tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    rows = [
+        {"id": "a", "source": "s", "text": "herzkatheter " * 30 + "herz " * 25},
+        # words repeated within and across documents, pieced ones, and an
+        # unknown one: "q" is too rare to enter the vocabulary
+        {"id": "b", "source": "s", "text": "herzkatheter herzen zeh herzen quark. herz"},
+        {"id": "c", "source": "s", "text": "katheter herzen quark katheter"},
+    ]
+    write_jsonl(corpus, rows)
+    vocab_path = tmp_path / "vocab.txt"
+    argv = ["vocab", "build", str(corpus), "--out", str(vocab_path)]
+    assert cli.main([*argv, "--vocab-size", "60", "--min-word-freq", "20"]) == 0
+    tok_out = tmp_path / "tokens.jsonl"
+    assert cli.main(["tokenize", str(corpus), "--vocab", str(vocab_path), "--out", str(tok_out)]) == 0
+    fert_out = tmp_path / "fertility.json"
+    argv = ["fertility", str(corpus), "--vocab", str(vocab_path), "--out", str(fert_out)]
+    assert cli.main([*argv, "--per-document"]) == 0
+    tokenized = [json.loads(line) for line in tok_out.read_text().splitlines()]
+    per_document = json.loads(fert_out.read_text())["per_document"]
+    assert [row["id"] for row in tokenized] == [d["id"] for d in per_document] == ["a", "b", "c"]
+    assert [len(row["ids"]) for row in tokenized] == [d["n_subwords"] for d in per_document]
+    assert "[UNK]" in tokenized[2]["pieces"]
+    assert any(p.startswith("##") for p in tokenized[1]["pieces"])
+
+
 def write_bench_inputs(tmp_path):
     """docs.jsonl and codes.csv of 60 planted patients, two documents each."""
     planted = benchmark_corpus(n_patients=60, docs_per_patient=2, seed=5, n_codes=8)
@@ -880,6 +906,51 @@ def write_repeated_labels(tmp_path):
     labels = tmp_path / "labels.txt"
     labels.write_text("X\nX\nY\n", encoding="utf-8")
     return labels
+
+
+def write_empty_labels(tmp_path):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("\n  \n\n", encoding="utf-8")
+    return labels
+
+
+def test_cli_eval_clf_labels_file_without_entries_names_it(tmp_path, capsys):
+    gold_path = tmp_path / "gold.jsonl"
+    write_examples_jsonl(
+        gold_path, [LabeledExample("d1", "t", {"X"}), LabeledExample("d2", "t", {"Y"})]
+    )
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(pred_path, [{"id": "d1", "scores": {"X": 0.9}}, {"id": "d2", "scores": {"Y": 0.8}}])
+    labels = write_empty_labels(tmp_path)
+    report = tmp_path / "report.json"
+    code = cli.main(
+        [
+            "eval", "clf", "--gold", str(gold_path), "--pred", str(pred_path),
+            "--labels", str(labels), "--report", str(report),
+        ]
+    )
+    assert code == 2
+    assert f"error: {labels}: labels file has no entries" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_cli_eval_ner_labels_file_without_entries_names_it(tmp_path, capsys):
+    gold_path = tmp_path / "gold.conll"
+    write_conll(gold_path, [TokenLabeledExample("a", ["Herr", "Meier"], ["B-PER", "I-PER"])])
+    pred_path = tmp_path / "pred.jsonl"
+    # a perfect prediction, which an empty class list would score 0.00
+    write_jsonl(pred_path, [{"id": "a", "tags": ["B-PER", "I-PER"]}])
+    labels = write_empty_labels(tmp_path)
+    report = tmp_path / "ner.json"
+    code = cli.main(
+        [
+            "eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path),
+            "--labels", str(labels), "--report", str(report),
+        ]
+    )
+    assert code == 2
+    assert f"error: {labels}: labels file has no entries" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_eval_clf_repeated_label_names_labels_file(tmp_path, capsys):

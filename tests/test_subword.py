@@ -1,9 +1,10 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medcorpus import synth
+from medcorpus import subword, synth
 from medcorpus.subword import (
     SPECIAL_TOKENS,
     UNK_TOKEN,
@@ -271,6 +272,34 @@ def test_tokenize_text_parallel_lists():
     words, ids = tokenize_text("abc x.", vocab)
     assert words == ["abc", "x", "."]
     assert [[vocab.tokens[i] for i in seq] for seq in ids] == [["ab", "##c"], ["x"], ["."]]
+
+
+def test_each_distinct_word_is_segmented_once_per_vocabulary(monkeypatch):
+    calls = Counter()
+    segment = subword._Segments.__missing__
+
+    def counting(self, word):
+        calls[self is first.segments, word] += 1
+        return segment(self, word)
+
+    monkeypatch.setattr(subword._Segments, "__missing__", counting)
+    first = hand_vocab("herz", "##en", "a", "##b")
+    second = hand_vocab("herz", "##en", "a", "##b")
+    text = "herz herzen zeh herz herzen ab."
+    distinct = set(extract_words(text))
+    for vocab in (first, second, first):
+        tokenize_text(text, vocab)
+        measure_fertility([("d", text), ("e", "ab herz")], vocab, per_document=True)
+        assert tokenize_word("herzen", vocab) == [vocab.token_id("herz"), vocab.token_id("##en")]
+    assert calls == Counter({(mine, w): 1 for mine in (True, False) for w in distinct})
+
+
+def test_tokenize_results_cannot_change_the_memo():
+    vocab = hand_vocab("ab", "##c")
+    _, ids = tokenize_text("abc", vocab)
+    assert ids == [(vocab.token_id("ab"), vocab.token_id("##c"))]
+    tokenize_word("abc", vocab).append(vocab.unk_id)
+    assert tokenize_word("abc", vocab) == list(ids[0])
 
 
 @settings(max_examples=60, deadline=None)
