@@ -445,7 +445,7 @@ def _score_matrices(
         rank[np.argsort(first)] = np.arange(len(first))
         ids, weights = rank[inverse], weights[entries]
     weights *= np.repeat(inv_norms, lengths)
-    rows = np.repeat(np.arange(n), lengths)
+    rows = np.repeat(np.arange(n, dtype=np.int32), lengths)
 
     df = np.bincount(ids)
     dense_cols = np.nonzero(df >= max(64, n // 64))[0]
@@ -454,7 +454,7 @@ def _score_matrices(
     if len(dense_cols) > max_dense:
         order = np.argsort(df[dense_cols])[::-1]
         dense_cols = dense_cols[order[:max_dense]]
-    dense_pos = np.full(len(df), -1)
+    dense_pos = np.full(len(df), -1, dtype=np.int32)
     dense_pos[dense_cols] = np.arange(len(dense_cols))
     pos = dense_pos[ids]
     in_dense = pos >= 0
@@ -495,12 +495,13 @@ def _near_threshold_pairs(
     # The inverted index. Postings are the rare entries grouped by term, in
     # row order within a term, as the sort is stable. Entry e meets the
     # earlier[e] postings of its term before its own, from first[e] on:
-    # the earlier rows that hold the term.
+    # the earlier rows that hold the term. Row and entry indices fit in 32
+    # bits; only sums of contributions need 64.
     postings = np.argsort(ids, kind="stable")
     post_rows, post_weights = rows[postings], weights[postings]
     df = np.bincount(ids)
     first = (np.cumsum(df) - df)[ids]
-    earlier = np.empty_like(postings)
+    earlier = np.empty(len(postings), dtype=np.int32)
     earlier[postings] = np.arange(len(postings))
     earlier -= first
     # the contributions of the entries before each entry, and where each
@@ -508,6 +509,7 @@ def _near_threshold_pairs(
     ahead = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(earlier, out=ahead[1:])
     offset = first - ahead[:-1]
+    del postings, first, ids  # the index is built
 
     part = np.asarray(participants)
     cutoff = cfg.threshold - _SCORE_MARGIN
@@ -527,7 +529,8 @@ def _near_threshold_pairs(
         # most one score row, which stay in cache; an entry has fewer than
         # `stop`, so each run takes one entry at least. np.add.at on the
         # flat block takes numpy's one-dimensional fast path.
-        lo, hi = np.searchsorted(rows, (start, stop))
+        # keys of the rows' own type, so the search does not convert them
+        lo, hi = np.searchsorted(rows, np.array((start, stop), rows.dtype))
         while lo < hi:
             end = min(hi, int(np.searchsorted(ahead, ahead[lo] + stop, "right")) - 1)
             take = earlier[lo:end]

@@ -84,25 +84,47 @@ def filter_rare_chars(
     return [t.translate(table) for t in texts], removed
 
 
+def _lengths_by_first_char(pieces: Iterable[str]) -> dict[str, list[int]]:
+    """Character -> lengths of the pieces that start with it, longest first."""
+    lengths: defaultdict[str, set[int]] = defaultdict(set)
+    for piece in pieces:
+        lengths[piece[0]].add(len(piece))
+    return {ch: sorted(ls, reverse=True) for ch, ls in lengths.items()}
+
+
 class _Segments(dict):
     """Word -> subword ids by greedy longest-prefix matching, a word that
     cannot be segmented being the unknown id alone. Each word is segmented on
-    first use, so the memo grows with the distinct words segmented."""
+    first use, so the memo grows with the distinct words segmented.
+
+    A word's first piece is a token as written, no longer than the longest
+    piece; each later piece is a continuation token without its prefix. At
+    each position only the lengths of the pieces that start with the next
+    character and fit in the rest of the word are probed."""
 
     def __init__(self, ids: dict[str, int]) -> None:
-        self._ids = ids
         self._unk = (ids[UNK_TOKEN],)
-        self._max_piece = max(len(t.removeprefix(CONTINUATION_PREFIX)) for t in ids)
+        longest = max(len(t.removeprefix(CONTINUATION_PREFIX)) for t in ids)
+        continuation = {
+            t.removeprefix(CONTINUATION_PREFIX): i
+            for t, i in ids.items()
+            if t.startswith(CONTINUATION_PREFIX) and t != CONTINUATION_PREFIX
+        }
+        self._initial = ids, _lengths_by_first_char(t for t in ids if len(t) <= longest)
+        self._continuation = continuation, _lengths_by_first_char(continuation)
 
     def __missing__(self, word: str) -> tuple[int, ...]:
         if not word:
             raise ValueError("cannot tokenize an empty word")
         pieces: list[int] = []
         pos = 0
+        ids, lengths = self._initial
         while pos < len(word):
-            for length in range(min(len(word) - pos, self._max_piece), 0, -1):
-                piece = word[pos : pos + length]
-                tok_id = self._ids.get(CONTINUATION_PREFIX + piece if pos else piece)
+            rest = len(word) - pos
+            for length in lengths.get(word[pos], ()):
+                if length > rest:
+                    continue
+                tok_id = ids.get(word[pos : pos + length])
                 if tok_id is not None:
                     pieces.append(tok_id)
                     pos += length
@@ -110,6 +132,7 @@ class _Segments(dict):
             else:
                 self[word] = self._unk
                 return self._unk
+            ids, lengths = self._continuation
         self[word] = segment = tuple(pieces)
         return segment
 
@@ -125,6 +148,13 @@ class Vocabulary:
     def __post_init__(self) -> None:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("vocabulary tokens must be unique")
+        for i, tok in enumerate(self.tokens):
+            # what ``save`` writes ``load`` must read back: a list file is
+            # split at line breaks, each line stripped, a blank one skipped
+            # and a byte order mark that opens the file dropped
+            changed = not tok or tok != tok.strip() or "\n" in tok or "\r" in tok
+            if changed or (i == 0 and tok[0] == "\ufeff"):
+                raise ValueError(f"vocabulary token {tok!r} would not read back from a list file")
         self._ids = {tok: i for i, tok in enumerate(self.tokens)}
         if UNK_TOKEN not in self._ids:
             raise ValueError(f"vocabulary has no {UNK_TOKEN} token")

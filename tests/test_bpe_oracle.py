@@ -305,3 +305,53 @@ def test_tokenize_text_matches_the_per_call_loop(size, words):
         got_words, ids = tokenize_text(text, memo)
         expected = [tuple(oracle_tokenize_word(w, vocab, longest)) for w in got_words]
         assert ids == expected
+
+
+# --- segmentation on hand-made vocabularies ---------------------------------
+#
+# Tokens that hold the continuation prefix themselves ("#", "##", "###",
+# "##a", "##ab") can match at the start of a word as written and after it
+# as a continuation, and a continuation token may be longer than any other
+# piece, so that as written it is longer than any slice the loop probes.
+
+_HASH_VOCABS = {
+    "hashes": ["#", "##", "###", "##a", "##ab", "a", "b", "##b"],
+    "hashes without ##": ["#", "###", "##ab", "a", "##b"],
+    "long continuation": ["#", "a", "b", "##a", "##b", "##", "##abababab", "##ab"],
+}
+_HASH_WORDS = ["##ab", "##", "###", "#a", "a##b"]
+
+
+def assert_hand_vocab_segments_as_oracle(tokens: list[str], words: list[str]) -> None:
+    vocab = Vocabulary(list(SPECIAL_TOKENS) + tokens, VocabConfig())
+    longest = longest_piece(vocab)
+    expected = {w: tuple(oracle_tokenize_word(w, vocab, longest)) for w in words}
+    fresh = Vocabulary(vocab.tokens, vocab.config)
+    assert {w: fresh.segments[w] for w in words} == expected
+    # the same memo again, warm now, in the other order
+    assert {w: fresh.segments[w] for w in reversed(words)} == expected
+    for w in words:
+        assert tokenize_word(w, Vocabulary(vocab.tokens, vocab.config)) == list(expected[w])
+
+
+@pytest.mark.parametrize("name", sorted(_HASH_VOCABS))
+def test_hash_words_segment_as_the_per_call_loop(name):
+    tokens = _HASH_VOCABS[name]
+    long_words = ["##abababab", "aabababab", "a##abababab", "##ababababab", "#" * 12]
+    assert_hand_vocab_segments_as_oracle(tokens, _HASH_WORDS + long_words)
+
+
+def test_a_token_longer_than_every_probed_slice_is_never_matched_as_written():
+    vocab = Vocabulary(list(SPECIAL_TOKENS) + _HASH_VOCABS["long continuation"], VocabConfig())
+    assert longest_piece(vocab) == len("abababab")
+    # as written the token is 10 characters long: the word is 4 pieces
+    assert vocab.segments["##abababab"] == (vocab.token_id("##ab"),) * 4
+    # after the first character it is one piece of 8
+    assert vocab.segments["aabababab"] == (vocab.token_id("a"), vocab.token_id("##abababab"))
+
+
+@pytest.mark.parametrize("name", sorted(_HASH_VOCABS))
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.text(alphabet="#ab[]UNK", min_size=1, max_size=14), min_size=1, max_size=6))
+def test_any_word_segments_as_the_per_call_loop(name, words):
+    assert_hand_vocab_segments_as_oracle(_HASH_VOCABS[name], words)

@@ -21,7 +21,7 @@ from medcorpus.pipeline import (
     emit_pretrain_config,
     run_pipeline,
 )
-from medcorpus.synth import benchmark_corpus, radiology_corpus
+from medcorpus.synth import benchmark_corpus, pii_corpus, radiology_corpus
 from medcorpus.corpus import CleanPolicy, Document, write_documents
 from medcorpus.dedup import DedupConfig, dedup_exact, vectorize
 
@@ -378,6 +378,81 @@ def test_cli_dedup_matches_pipeline(tmp_path, capsys):
     assert cli_ids == [d["id"] for d in read_jsonl(out_dir / "deduped.jsonl")]
     assert cli_ids == ["d1", "s1", "e1", "e2"]
     assert report.read_bytes() == (out_dir / "dedup_report.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"dedup": {"threshold": 0.75}, "anonymize": {}, "stats": {}},
+        {
+            "dedup": {
+                "threshold": 0.9, "mode": "literal", "comparison": "inclusive",
+                "max_doc_words": 30,
+            },
+            "anonymize": {"case_insensitive": True, "name_wildcard": "<N>", "date_wildcard": "<D>"},
+            "stats": {"binary_mb": True},
+        },
+    ],
+    ids=["demo", "every-shared-setting"],
+)
+def test_cli_chain_matches_pipeline(tmp_path, capsys, settings):
+    # the inputs of scripts/pipeline_demo.py --n-docs 300
+    planted = pii_corpus(300, seed=7)
+    docs = list(planted.documents)
+    docs += [dataclasses.replace(d, id=d.id + "-copy") for d in docs[:30]]
+    write_documents(tmp_path / "corpus.jsonl", docs)
+    (tmp_path / "names.txt").write_text("\n".join(planted.names) + "\n", encoding="utf-8")
+    config = {
+        "inputs": [{"path": "corpus.jsonl"}],
+        "dedup": settings["dedup"],
+        "anonymize": {"gazetteer": "names.txt", **settings["anonymize"]},
+        "stats": settings["stats"],
+    }
+    code, pipe = run_cli_pipeline(tmp_path, config)
+    assert code == 0
+
+    flags = {
+        "threshold": "--threshold", "mode": "--mode", "comparison": "--comparison",
+        "max_doc_words": "--max-words", "name_wildcard": "--name-wildcard",
+        "date_wildcard": "--date-wildcard",
+    }
+
+    def options(section):
+        out = []
+        for key, value in settings[section].items():
+            out += [f"--{key.replace('_', '-')}"] if value is True else [flags[key], str(value)]
+        return out
+
+    c = tmp_path / "cli"
+    c.mkdir()
+    steps = [
+        ["ingest", str(tmp_path / "corpus.jsonl"), "--out", str(c / "ingested.jsonl"),
+         "--report", str(c / "load_report.json")],
+        ["clean", str(c / "ingested.jsonl"), "--out", str(c / "cleaned.jsonl"),
+         "--reject-log", str(c / "reject_log.json")],
+        ["dedup", str(c / "cleaned.jsonl"), *options("dedup"), "--out", str(c / "deduped.jsonl"),
+         "--report", str(c / "dedup_report.json")],
+        ["anonymize", str(c / "deduped.jsonl"), "--gazetteer", str(tmp_path / "names.txt"),
+         *options("anonymize"), "--out", str(c / "anonymized.jsonl"),
+         "--report", str(c / "anonymization_report.json")],
+        ["stats", str(c / "anonymized.jsonl"), *options("stats"), "--out", str(c / "stats.tsv"),
+         "--json", str(c / "stats.json")],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+
+    # every stage did something, so the comparison is not vacuous
+    stages = {s["name"]: s for s in json.loads((pipe / "manifest.json").read_text())["stages"]}
+    assert stages["dedup"]["n_out"] < stages["dedup"]["n_in"]
+    assert stages["anonymize"]["details"]["name_spans"] > 0
+    # the two load reports differ in shape by design
+    compared = sorted(p.name for p in c.iterdir() if p.name != "load_report.json")
+    assert compared == sorted(
+        p.name for p in pipe.iterdir() if p.name not in ("load_report.json", "manifest.json")
+    )
+    for name in compared:
+        assert (c / name).read_bytes() == (pipe / name).read_bytes(), name
 
 
 def test_max_words_zero_is_rejected_by_cli_and_pipeline(tmp_path, capsys):

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("gazetteer_scale.py", ["--n-docs", "50", "--sizes", "500"], r"^\s+500\s+\d"),
         ("pipeline_demo.py", ["--n-docs", "40", "--out", "{tmp}"], r"^reruns byte-identical$"),
         ("fertility_domains.py", ["--n-texts", "20"], r"^clinical\s+vocab\s+\d+\s+fertility"),
-        ("vocab_scale.py", ["--n-docs", "50", "--sizes", "300"], r"^\s+300\s+300(\s+\d+\.\d{3}){5}$"),
+        ("vocab_scale.py", ["--n-docs", "50", "--sizes", "300"], r"^\s+300\s+300(\s+\d+\.\d{3}){6}$"),
     ],
     ids=["dedup_scale", "gazetteer_scale", "pipeline_demo", "fertility_domains", "vocab_scale"],
 )

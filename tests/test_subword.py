@@ -240,6 +240,50 @@ def test_vocabulary_requires_unknown_token():
         Vocabulary(["a", "b"], VocabConfig())
 
 
+@pytest.mark.parametrize(
+    "tokens, bad",
+    [
+        (["[UNK]", "", "c"], ""),
+        (["[UNK]", " a"], " a"),
+        (["[UNK]", "a\t"], "a\t"),
+        (["[UNK]", "x\ny"], "x\ny"),
+        (["[UNK]", "x\ry"], "x\ry"),
+        (["[UNK]", "\u3000"], "\u3000"),
+        (["\ufeffa", "[UNK]"], "\ufeffa"),
+    ],
+)
+def test_vocabulary_rejects_tokens_a_list_file_would_change(tokens, bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        Vocabulary(tokens, VocabConfig())
+
+
+def test_vocabulary_accepts_what_a_list_file_keeps(tmp_path):
+    # inner whitespace other than a line break, and a byte order mark that
+    # does not open the file, read back as written
+    tokens = ["[UNK]", "a b", "a\tb", "a\u2028b", "\ufeff", "a\x0bb"]
+    Vocabulary(tokens, VocabConfig()).save(tmp_path / "vocab.txt")
+    assert Vocabulary.load(tmp_path / "vocab.txt").tokens == tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.text(min_size=0, max_size=6)
+        | st.sampled_from(["", " ", "\n", "\r", "\ufeff", "\ufeffa", "a b", "\u2029"]),
+        max_size=6,
+        unique=True,
+    ).map(lambda ts: ts + [UNK_TOKEN] if UNK_TOKEN not in ts else ts)
+)
+def test_every_accepted_vocabulary_reads_back_as_saved(tmp_path_factory, tokens):
+    try:
+        vocab = Vocabulary(tokens, VocabConfig())
+    except ValueError:
+        return
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    vocab.save(path)
+    assert Vocabulary.load(path).tokens == tokens
+
+
 def test_greedy_longest_match_picks_longest_pieces():
     vocab = hand_vocab("a", "b", "c", "d", "ab", "##cd")
     ids = tokenize_word("abcd", vocab)
