@@ -47,6 +47,12 @@ class Document:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("document id must be non-empty")
+        if not self.source:
+            raise ValueError("document source must be non-empty")
+        if self.metadata:
+            for key, value in self.metadata.items():
+                if not (isinstance(key, str) and isinstance(value, str)):
+                    raise ValueError(f"document metadata must map strings to strings: {key!r}")
 
 
 @dataclass
@@ -197,22 +203,30 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to a temp file next to ``path``, then rename it over
     ``path``, so a reader never sees a half-written artifact and a failure
-    part-way leaves the old file as it was. ``chunks`` is consumed lazily."""
+    part-way leaves the old file as it was. ``chunks`` is consumed lazily.
+    A chunk that UTF-8 cannot encode, such as one holding a lone surrogate,
+    raises a ``ValueError`` that names the file."""
     path = Path(path)
     if path.exists() and not path.is_file():
         # a pipe or device such as /dev/stdout can be written but not replaced
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        _write_utf8(path, chunks, path)
         return
-    path = path.resolve()  # through a symlink, replace the file it points to
-    tmp = path.with_name(path.name + ".tmp")
+    target = path.resolve()  # through a symlink, replace the file it points to
+    tmp = target.with_name(target.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        _write_utf8(tmp, chunks, path)
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_utf8(dest: Path, chunks: Iterable[str], path: Path) -> None:
+    try:
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_jsonl(path: str | Path, rows: Iterable) -> None:

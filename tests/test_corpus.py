@@ -179,20 +179,31 @@ _FIELD_TEXT = st.text(
 )
 
 
-@settings(max_examples=500)
-@given(
-    st.builds(
-        Document,
-        id=_FIELD_TEXT.filter(bool),
-        source=_FIELD_TEXT,
-        text=_FIELD_TEXT,
-        doc_date=st.none() | st.dates(),
-        patient_ref=st.none() | _FIELD_TEXT,
-        metadata=st.dictionaries(_FIELD_TEXT, _FIELD_TEXT, max_size=3),
-    )
+_DOCUMENT = st.builds(
+    Document,
+    id=_FIELD_TEXT.filter(bool),
+    source=_FIELD_TEXT.filter(bool),
+    text=_FIELD_TEXT,
+    doc_date=st.none() | st.dates(),
+    patient_ref=st.none() | _FIELD_TEXT,
+    metadata=st.dictionaries(_FIELD_TEXT, _FIELD_TEXT, max_size=3),
 )
+
+
+@settings(max_examples=500)
+@given(_DOCUMENT)
 def test_document_line_matches_json_dumps(doc):
     assert document_line(doc) == json.dumps(document_to_obj(doc), ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=300)
+@given(st.lists(_DOCUMENT, max_size=4, unique_by=lambda doc: doc.id))
+def test_load_documents_reads_back_what_write_documents_writes(tmp_path_factory, docs):
+    path = tmp_path_factory.mktemp("docs") / "docs.jsonl"
+    write_documents(path, docs)
+    result = load_documents(path)
+    assert result.errors == []
+    assert result.documents == docs
 
 
 def test_write_documents_failure_keeps_old_file(tmp_path):
@@ -413,6 +424,27 @@ def test_json_readers_reject_an_unpaired_surrogate(tmp_path):
 def test_document_requires_id():
     with pytest.raises(ValueError):
         Document(id="", source="ehr", text="x")
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"source": ""}, "source"),
+        ({"metadata": {"k": 1}}, "metadata"),
+        ({"metadata": {1: "v"}}, "metadata"),
+        ({"metadata": {"k": None}}, "metadata"),
+    ],
+)
+def test_document_rejects_what_its_line_would_not_give_back(fields, field):
+    with pytest.raises(ValueError, match=field):
+        Document(**{"id": "d", "source": "ehr", "text": "x", **fields})
+
+
+def test_write_documents_lone_surrogate_names_the_file(tmp_path):
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(out))}: 'utf-8' codec can't encode"):
+        write_documents(out, [make_doc("a\udcffb")])
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- cleaning --------------------------------------------------------------
