@@ -11,11 +11,17 @@
 - gazetteer on 1k PII notes with the planted name parts, alone and padded
   by filler to 2k, 20k and 100k entries: the recognizer build and its
   ``tracemalloc`` peak, the name scan, ``anonymize_corpus`` and its ratio
-  to the first size's, the rescan of its output and the date scan.
+  to the first size's, the rescan of its output and the date scan;
+- pipeline, each run in a fresh process, on ``radiology_corpus(20000, 0.19,
+  seed=11)`` plus 1k PII notes and their planted names as the gazetteer:
+  ``run_pipeline`` wall time, the time summed over its ``write_documents``
+  calls, ``compute_corpus_stats``, the ``document_line`` call count, the
+  residual documents and peak RSS. The inputs are written once, untimed.
 
 Each time is the median of 3 ``time.perf_counter`` runs. The script exits
 1 when a removal rate is more than 0.02 from the planted rate, a vocabulary
-falls short of its size or an anonymized output fails its rescan.
+falls short of its size or an anonymized output, alone or in the pipeline,
+fails its rescan.
 """
 
 import argparse
@@ -24,17 +30,21 @@ import platform
 import random
 import resource
 import statistics
+import tempfile
 import time
 import tracemalloc
 from collections import Counter
 from importlib.metadata import version
 from multiprocessing import get_context
+from pathlib import Path
 from typing import NamedTuple
 
+from medcorpus import corpus
 from medcorpus.anonymize import Gazetteer, GazetteerRecognizer, anonymize_corpus
 from medcorpus.anonymize import detect_dates, detect_names
-from medcorpus.corpus import write_json
+from medcorpus.corpus import write_documents, write_json, write_text
 from medcorpus.dedup import DedupConfig, dedup_documents
+from medcorpus.pipeline import run_pipeline
 from medcorpus.subword import VocabConfig, Vocabulary, build_vocab, extract_words
 from medcorpus.subword import filter_rare_chars, measure_fertility, tokenize_text
 from medcorpus.synth import pii_corpus, radiology_corpus
@@ -51,10 +61,14 @@ class Scale(NamedTuple):
     vocab_sizes: tuple[int, ...]
     pii_docs: int
     gazetteer_sizes: tuple[int, ...]
+    pipeline_docs: tuple[int, ...]
 
 
-FULL = Scale(3, (20_000, 50_000), 2_000, (1_000, 3_000), 1_000, (2_000, 20_000, 100_000))
-QUICK = Scale(1, (500,), 50, (300,), 50, (500,))
+FULL = Scale(
+    3, (20_000, 50_000), 2_000, (1_000, 3_000), 1_000, (2_000, 20_000, 100_000), (20_000,)
+)
+QUICK = Scale(1, (500,), 50, (300,), 50, (500,), (500,))
+PIPELINE_CONFIG = {"inputs": [{"path": "corpus.jsonl"}], "anonymize": {"gazetteer": "names.txt"}}
 
 
 def timed(reps: int, run, fresh=None):
@@ -176,11 +190,66 @@ def gazetteer_probe(scale: Scale) -> tuple[dict, dict]:
     return {"docs": len(texts), "planted_names": len(pii.names)}, rows
 
 
+def pipeline_run(inputs: str) -> dict:
+    # the wrappers pass every argument on; the memo that run_pipeline hands
+    # write_documents calls corpus.document_line, so the count sees its misses
+    seconds, n_lines = Counter(), 0
+
+    def timing(name):
+        fn = getattr(corpus, name)
+
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[name] += time.perf_counter() - t0
+
+        setattr(corpus, name, wrapper)
+
+    def counting(doc, line=corpus.document_line):
+        nonlocal n_lines
+        n_lines += 1
+        return line(doc)
+
+    timing("write_documents")
+    timing("compute_corpus_stats")
+    corpus.document_line = counting
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        _, report = run_pipeline(PIPELINE_CONFIG, out, inputs)
+        wall_s = time.perf_counter() - t0
+    return {
+        "wall_s": wall_s,
+        "write_documents_s": seconds["write_documents"],
+        "stats_s": seconds["compute_corpus_stats"],
+        "document_lines": n_lines,
+        "residual_docs": len(report.residuals),
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
+    }
+
+
+def pipeline_probe(scale: Scale) -> tuple[dict, dict]:
+    pii = pii_corpus(scale.pii_docs, seed=11)
+    rows = {}
+    with tempfile.TemporaryDirectory() as inputs:
+        write_text(Path(inputs) / "names.txt", ["\n".join(pii.names) + "\n"])
+        for n in scale.pipeline_docs:
+            planted = radiology_corpus(n, PLANTED_RATE, seed=11)
+            write_documents(Path(inputs) / "corpus.jsonl", planted.documents + pii.documents)
+            # a fresh process each, as a CLI run is, for the same reason as dedup_probe's
+            with get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+                runs = pool.map(pipeline_run, [inputs] * scale.reps, chunksize=1)
+            rows[n] = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
+    return {"pii_docs": len(pii.documents), "planted_names": len(pii.names)}, rows
+
+
 # each probe, and the check that each of its rows must pass
 PROBES = {
     "dedup": (dedup_probe, lambda size, row: abs(row["rate"] - PLANTED_RATE) <= RATE_TOLERANCE),
     "vocab": (vocab_probe, lambda size, row: row["tokens"] == size),
     "gazetteer": (gazetteer_probe, lambda size, row: row["residual_docs"] == 0),
+    "pipeline": (pipeline_probe, lambda size, row: row["residual_docs"] == 0),
 }
 
 

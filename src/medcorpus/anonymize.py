@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from .corpus import Document, read_lines
 
@@ -326,8 +326,11 @@ def redact(text: str, spans: Sequence[RedactionSpan]) -> tuple[str, list[Redacti
 
     Returns the redacted text and the merged spans that were applied, with
     surfaces re-read from the original text. Spans must lie inside the text
-    and on character boundaries.
+    and on character boundaries. Without spans the text is returned itself,
+    not a copy, so a caller can tell an unchanged text by identity.
     """
+    if not spans:
+        return text, []
     data = text.encode("utf-8")
 
     def boundary(pos: int) -> bool:
@@ -413,6 +416,17 @@ class AnonymizationReport:
         }
 
 
+def check_wildcards(wildcards: Mapping[str, str]) -> None:
+    """A wildcard that UTF-8 cannot encode, such as one holding a lone
+    surrogate, is a ``ValueError`` that names it by its key in
+    ``wildcards``."""
+    for name, wildcard in wildcards.items():
+        try:
+            wildcard.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{name} {wildcard!r} is not UTF-8 text: {exc.reason}") from None
+
+
 def anonymize_corpus(
     docs: Iterable[Document],
     gazetteer: Gazetteer | None,
@@ -421,11 +435,14 @@ def anonymize_corpus(
 ) -> tuple[list[Document], AnonymizationReport]:
     """Redact names and dates across a corpus.
 
-    Empty wildcards delete the matched surfaces. Every output document is
-    re-scanned and hits are recorded as residuals. Without a gazetteer only
-    dates are redacted; a gazetteer without entries is a ``ValueError``, not
-    a silent pass.
+    Empty wildcards delete the matched surfaces; a wildcard that UTF-8
+    cannot encode is a ``ValueError`` raised before any redaction. Every
+    output document is re-scanned and hits are recorded as residuals. A
+    document without spans comes out as the input object itself, every
+    other one as a new object. Without a gazetteer only dates are redacted;
+    a gazetteer without entries is a ``ValueError``, not a silent pass.
     """
+    check_wildcards({"name_wildcard": name_wildcard, "date_wildcard": date_wildcard})
     recognizer = None if gazetteer is None else GazetteerRecognizer(gazetteer, name_wildcard)
     out_docs: list[Document] = []
     report = AnonymizationReport()
@@ -438,7 +455,7 @@ def anonymize_corpus(
             n_names = len(name_spans)
             spans.extend(name_spans)
         new_text, _ = redact(doc.text, spans)
-        out_docs.append(_dc_replace(doc, text=new_text))
+        out_docs.append(doc if new_text is doc.text else _dc_replace(doc, text=new_text))
         report.per_document.append(DocumentRedaction(doc.id, n_names, n_dates))
         residual = _residual_scan(new_text, recognizer)
         if residual:

@@ -115,6 +115,9 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_anonymize(args) -> int:
+    anon.check_wildcards(
+        {"--name-wildcard": args.name_wildcard, "--date-wildcard": args.date_wildcard}
+    )
     docs = _load_docs(args.input, args.source)
     gazetteer = None
     if args.gazetteer:

@@ -234,9 +234,15 @@ def write_jsonl(path: str | Path, rows: Iterable) -> None:
     write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
-def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
-    """One :func:`document_line` per document, in ``docs`` order."""
-    write_text(path, map(document_line, docs))
+def write_documents(
+    path: str | Path,
+    docs: Iterable[Document],
+    line: Callable[[Document], str] = document_line,
+) -> None:
+    """One :func:`document_line` per document, in ``docs`` order. ``line``
+    stands in for :func:`document_line`, such as a memo of it that writes a
+    document shared by several artifacts without serializing it again."""
+    write_text(path, map(line, docs))
 
 
 def json_text(obj) -> str:

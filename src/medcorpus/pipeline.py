@@ -158,11 +158,15 @@ def run_pipeline(
     Returns the manifest and the anonymization report, whose residuals say
     which output documents failed the re-scan.
 
-    The whole config, including the gazetteer file, is checked and every
-    input file is read before the first artifact is written: an unknown key
-    or a value of the wrong type is a ``ValueError``. Relative input paths
-    are resolved against ``config_dir``; the manifest stores them as written
-    in the config so that reruns into different output directories stay
+    The whole config, including the gazetteer file, is checked, every input
+    file is read and clean, dedup and anonymize all run before the output
+    directory is made: an unknown key or a value of the wrong type is a
+    ``ValueError``, and a stage that raises leaves no artifact. The four
+    document artifacts and their reports are then written in stage order,
+    each document object serialized once however many of them hold it; the
+    stats artifacts and the manifest follow. Relative input paths are
+    resolved against ``config_dir``; the manifest stores them as written in
+    the config so that reruns into different output directories stay
     comparable.
     """
     base = Path(config_dir)
@@ -199,12 +203,27 @@ def run_pipeline(
             {"path": path, "line": e.line_no, "message": e.message} for e in result.errors
         )
 
+    cleaned, rejects = corpus_mod.clean_corpus(docs, policies)
+    deduped, reports = dedup_mod.dedup_documents(cleaned, dd_cfg)
+    anonymized, anon_report = anon.anonymize_corpus(deduped, gazetteer, **wildcards)
+
+    # every document stage has run, so a stage that raises leaves no artifact, and
+    # the line memo below never holds memory while dedup holds its working set
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = PipelineManifest()
+    # a document a stage left unchanged is the same object in the next stage's list;
+    # every list lives until the return, so an id stands for one document throughout
+    lines: dict[int, str] = {}
+
+    def line(doc: corpus_mod.Document) -> str:
+        text = lines.get(id(doc))
+        if text is None:
+            text = lines[id(doc)] = corpus_mod.document_line(doc)
+        return text
 
     def stage(name, cfg_obj, stage_inputs, docs_file, docs, report_file, report, n_in, details):
-        corpus_mod.write_documents(out / docs_file, docs)
+        corpus_mod.write_documents(out / docs_file, docs, line)
         corpus_mod.write_json(out / report_file, report)
         manifest.stages.append(
             StageRecord(
@@ -223,23 +242,17 @@ def run_pipeline(
         "ingested.jsonl", docs, "load_report.json", {"errors": load_errors},
         n_in=len(docs) + len(load_errors), details={"n_errors": len(load_errors)},
     )
-
-    cleaned, rejects = corpus_mod.clean_corpus(docs, policies)
     stage(
         "clean", sections["clean"], ["ingested.jsonl"],
         "cleaned.jsonl", cleaned, "reject_log.json", corpus_mod.reject_log_obj(rejects),
         n_in=len(docs), details={"n_rejected": len(rejects)},
     )
-
-    deduped, reports = dedup_mod.dedup_documents(cleaned, dd_cfg)
     stage(
         "dedup", sections["dedup"], ["cleaned.jsonl"],
         "deduped.jsonl", deduped, "dedup_report.json",
         {src: r.to_obj() for src, r in reports.items()},
         n_in=len(cleaned), details={src: r.n_removed for src, r in reports.items()},
     )
-
-    anonymized, anon_report = anon.anonymize_corpus(deduped, gazetteer, **wildcards)
     stage(
         "anonymize", sections["anonymize"], ["deduped.jsonl"],
         "anonymized.jsonl", anonymized, "anonymization_report.json", anon_report.to_obj(),
@@ -250,6 +263,7 @@ def run_pipeline(
             "residual_documents": len(anon_report.residuals),
         },
     )
+    lines.clear()
 
     stats = corpus_mod.compute_corpus_stats(anonymized)
     corpus_mod.write_text(out / "stats.tsv", [corpus_mod.stats_to_tsv(stats, mb_base)])

@@ -1,10 +1,11 @@
+import dataclasses
 import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medcorpus import synth
+from medcorpus import anonymize as anonymize_mod, synth
 from medcorpus.anonymize import (
     _MONTH_INITIALS,
     _MONTHS,
@@ -233,6 +234,13 @@ def test_spans_out_of_range_rejected():
         redact("ab", [RedactionSpan(0, 99, KIND_NAME, "ab", "<NAME>")])
 
 
+def test_redact_without_spans_returns_the_text_itself():
+    text = "Befund ohne Namen und ohne Datum."
+    redacted, applied = redact(text, [])
+    assert redacted is text
+    assert applied == []
+
+
 # --- verification and corpus-level run -------------------------------------
 
 
@@ -267,6 +275,54 @@ def test_anonymize_custom_wildcards():
     docs = [Document(id="d", source="ehr", text="Anna kam am 3.4.2021.")]
     out, _ = anonymize_corpus(docs, gaz("Anna"), name_wildcard="[P]", date_wildcard="[D]")
     assert out[0].text == "[P] kam am [D]."
+
+
+@pytest.mark.parametrize("param", ["name_wildcard", "date_wildcard"])
+def test_wildcard_that_utf8_cannot_encode_is_rejected_up_front(param):
+    # no document has a span, so no redaction would ever encode the wildcard
+    docs = [Document(id="d", source="ehr", text="Befund ohne Namen und ohne Datum.")]
+    with pytest.raises(ValueError, match=param):
+        anonymize_corpus(docs, gaz("Anna"), **{param: "\udcff"})
+
+
+def test_anonymize_corpus_keeps_a_document_without_spans_as_the_same_object():
+    docs = [
+        Document(id="d1", source="ehr", text="Anna kam am 3.4.2021."),
+        Document(id="d2", source="ehr", text="Befund ohne Namen und ohne Datum."),
+    ]
+    out, report = anonymize_corpus(docs, gaz("Anna"))
+    assert out[0] is not docs[0]
+    assert out[0] == dataclasses.replace(docs[0], text="<NAME> kam am <DATE>.")
+    assert out[1] is docs[1]
+    assert report.passed
+
+
+def _rebuilding_redact(text, spans):
+    """:func:`redact` with its output string built anew, as redaction that
+    rebuilds the text even without spans returns it."""
+    redacted, applied = redact(text, spans)
+    return (redacted + "#")[:-1], applied
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(st.text(alphabet="Anna 3.4.2021 Mär ßz\n", max_size=40), max_size=4),
+)
+def test_anonymize_corpus_matches_redaction_that_always_rebuilds(seed, texts):
+    pii = synth.pii_corpus(3, seed=seed)
+    docs = pii.documents + [
+        Document(id=f"t{i}", source="ehr", text=text) for i, text in enumerate(texts)
+    ]
+    g = Gazetteer(entries=frozenset(pii.names) | {"Anna"})
+    out, report = anonymize_corpus(docs, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(anonymize_mod, "redact", _rebuilding_redact)
+        ref_out, ref_report = anonymize_corpus(docs, g)
+    assert out == ref_out
+    assert report.to_obj() == ref_report.to_obj()
+    for doc, new in zip(docs, out):
+        assert (new is doc) == (new.text == doc.text)
 
 
 def test_anonymize_without_gazetteer_dates_only():

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from medcorpus import cli
+from medcorpus import corpus as corpus_mod
+from medcorpus import dedup as dedup_mod
 from medcorpus.benchmark import (
     LabeledExample,
     TokenLabeledExample,
@@ -154,6 +156,56 @@ def test_pipeline_empty_corpus(tmp_path):
     manifest, _ = run_pipeline(config, tmp_path / "out", tmp_path)
     for stage in manifest.stages:
         assert stage.n_in == 0 and stage.n_out == 0
+
+
+def test_pipeline_serializes_each_document_object_once(tmp_path, monkeypatch):
+    config, _ = pipeline_fixture(tmp_path)
+    serialized, written = [], []
+    document_line, write_documents = corpus_mod.document_line, corpus_mod.write_documents
+
+    def counting_line(doc):
+        serialized.append(doc)
+        return document_line(doc)
+
+    def recording_write(path, docs, *args, **kwargs):
+        docs = list(docs)
+        written.extend(docs)  # keeps every object alive, so its id stays its own
+        return write_documents(path, docs, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_mod, "document_line", counting_line)
+    monkeypatch.setattr(corpus_mod, "write_documents", recording_write)
+    run_pipeline(config, tmp_path / "out", tmp_path)
+    assert len(written) == 5 + 4 + 3 + 3
+    assert len(serialized) == len({id(doc) for doc in serialized})
+    assert {id(doc) for doc in serialized} == {id(doc) for doc in written}
+    # a1 is the one document a stage changed: ingest's five plus its redacted copy
+    assert len(serialized) == 6
+
+
+def test_pipeline_stage_that_raises_leaves_no_artifact(tmp_path, monkeypatch):
+    config, _ = pipeline_fixture(tmp_path)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("dedup failed")
+
+    monkeypatch.setattr(dedup_mod, "dedup_documents", failing)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="dedup failed"):
+        run_pipeline(config, out, tmp_path)
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--name-wildcard", "--date-wildcard"])
+def test_cli_anonymize_wildcard_that_utf8_cannot_encode_names_its_flag(tmp_path, capsys, flag):
+    corpus = tmp_path / "c.jsonl"
+    write_jsonl(corpus, [{"id": "d", "source": "s", "text": "Anna kam am 3.4.2021."}])
+    gaz = tmp_path / "names.txt"
+    gaz.write_text("Anna\n", encoding="utf-8")
+    out = tmp_path / "anon.jsonl"
+    argv = ["anonymize", str(corpus), "--gazetteer", str(gaz), "--out", str(out), flag, "\udcff"]
+    assert cli.main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_requires_inputs(tmp_path):

@@ -50,7 +50,7 @@ def test_script_runs(tmp_path, script, args, expected):
 def test_bench_quick_writes_the_record(tmp_path):
     stdout = run_script(tmp_path, "bench.py", ["--quick", "--out", "{tmp}"])
     record = json.loads((tmp_path / "out").read_text(encoding="utf-8"))
-    assert sorted(record) == ["dedup", "gazetteer", "machine", "reps", "vocab"]
+    assert sorted(record) == ["dedup", "gazetteer", "machine", "pipeline", "reps", "vocab"]
     assert sorted(record["machine"]) == ["blas_threads", "cpu_count", "numpy", "python"]
     assert record["reps"] == 1
     # each probe's inputs, then the figures of each of its sizes
@@ -63,6 +63,10 @@ def test_bench_quick_writes_the_record(tmp_path):
         "gazetteer": (
             "docs planted_names",
             "anonymize_s build_peak_mib build_s dates_s rescan_s residual_docs scan_s vs_first",
+        ),
+        "pipeline": (
+            "pii_docs planted_names",
+            "document_lines peak_rss_mib residual_docs stats_s wall_s write_documents_s",
         ),
     }
     for name, (inputs, figures) in probes.items():
@@ -79,3 +83,9 @@ def test_bench_quick_writes_the_record(tmp_path):
     gazetteer = record["gazetteer"]
     assert list(gazetteer["sizes"])[0] == str(gazetteer["planted_names"])
     assert all(row["residual_docs"] == 0 for row in gazetteer["sizes"].values())
+    for row in record["pipeline"]["sizes"].values():
+        assert row["residual_docs"] == 0
+        assert 0 < row["write_documents_s"] < row["wall_s"]
+        assert 0 < row["stats_s"] < row["wall_s"]
+        assert row["document_lines"] > 0
+        assert row["peak_rss_mib"] > 0
