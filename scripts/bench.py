@@ -11,14 +11,19 @@
 - gazetteer on 1k PII notes with the planted name parts, alone and padded
   by filler to 2k, 20k and 100k entries: the recognizer build and its
   ``tracemalloc`` peak, the name scan, ``anonymize_corpus`` and its ratio
-  to the first size's, the rescan of its output and the date scan;
+  to the first size's, the rescan of its output, the date scan, ``redact``
+  with the spans both scans found, and the date and name scans of 1k
+  radiology reports, which hold no name and no date;
 - pipeline, each run in a fresh process, on ``radiology_corpus(20000, 0.19,
   seed=11)`` plus 1k PII notes and their planted names as the gazetteer:
   ``run_pipeline`` wall time, the time summed over its ``write_documents``
   calls, ``compute_corpus_stats``, the ``document_line`` call count, the
   residual documents and peak RSS. The inputs are written once, untimed.
 
-Each time is the median of 3 ``time.perf_counter`` runs. The script exits
+Each time is the median of 3 ``time.perf_counter`` runs. A fixed
+pure-Python piece that touches no medcorpus code is timed 5 times before
+the probes and 5 times after them; its median, ``machine.piece_s``, tells
+how fast the host ran, so that two records can be compared. The script exits
 1 when a removal rate is more than 0.02 from the planted rate, a vocabulary
 falls short of its size or an anonymized output, alone or in the pipeline,
 fails its rescan.
@@ -41,7 +46,7 @@ from typing import NamedTuple
 
 from medcorpus import corpus
 from medcorpus.anonymize import Gazetteer, GazetteerRecognizer, anonymize_corpus
-from medcorpus.anonymize import detect_dates, detect_names
+from medcorpus.anonymize import detect_dates, detect_names, redact
 from medcorpus.corpus import write_documents, write_json, write_text
 from medcorpus.dedup import DedupConfig, dedup_documents
 from medcorpus.pipeline import run_pipeline
@@ -87,6 +92,29 @@ def timed(reps: int, run, fresh=None):
 def each(fn, texts, *args) -> None:
     for text in texts:
         fn(text, *args)
+
+
+_PIECE_TEXT = " ".join(f"w{i * 7919 % 1009}" for i in range(20_000))
+
+
+def speed_piece() -> int:
+    """Dictionary counting and a per-character loop, in pure Python."""
+    counts: dict[str, int] = {}
+    for word in _PIECE_TEXT.split():
+        counts[word] = counts.get(word, 0) + 1
+    total = 0
+    for ch in _PIECE_TEXT:
+        total += ord(ch)
+    return len(counts) + total
+
+
+def piece_times(n: int = 5) -> list[float]:
+    times = []
+    for _ in range(n):
+        t0 = time.perf_counter()
+        speed_piece()
+        times.append(time.perf_counter() - t0)
+    return times
 
 
 def dedup_run(n: int) -> dict:
@@ -166,7 +194,9 @@ def build_peak_mib(gazetteer: Gazetteer) -> float:
 def gazetteer_probe(scale: Scale) -> tuple[dict, dict]:
     pii = pii_corpus(scale.pii_docs, seed=11)
     texts = [d.text for d in pii.documents]
-    words = {w.strip(".,;:") for text in texts for w in text.split()}
+    clean = [d.text for d in radiology_corpus(scale.pii_docs, 0.0, seed=3).documents]
+    # the filler entries match no word of either corpus
+    words = {w.strip(".,;:") for text in texts + clean for w in text.split()}
     sizes = [len(pii.names)] + [n for n in scale.gazetteer_sizes if n > len(pii.names)]
     # compile the date patterns before the first timed call
     anonymize_corpus(pii.documents[:10], Gazetteer(frozenset(pii.names)))
@@ -177,17 +207,26 @@ def gazetteer_probe(scale: Scale) -> tuple[dict, dict]:
         scan_s, _ = timed(reps, lambda: each(detect_names, texts, names))
         anon_s, (out, report) = timed(reps, lambda: anonymize_corpus(pii.documents, gazetteer))
         first = first or anon_s
+        spans = [detect_dates(text) + detect_names(text, names) for text in texts]
+
+        def clean_scan() -> None:
+            for text in clean:
+                detect_dates(text)
+                detect_names(text, names)
+
         rows[size] = {
             "build_s": build_s,
             "build_peak_mib": build_peak_mib(gazetteer),
             "scan_s": scan_s,
             "rescan_s": timed(reps, lambda: each(detect_names, [d.text for d in out], names))[0],
             "dates_s": timed(reps, lambda: each(detect_dates, texts))[0],
+            "redact_s": timed(reps, lambda: list(map(redact, texts, spans)))[0],
+            "clean_scan_s": timed(reps, clean_scan)[0],
             "anonymize_s": anon_s,
             "vs_first": anon_s / first,
             "residual_docs": len(report.residuals),
         }
-    return {"docs": len(texts), "planted_names": len(pii.names)}, rows
+    return {"docs": len(texts), "clean_docs": len(clean), "planted_names": len(pii.names)}, rows
 
 
 def pipeline_run(inputs: str) -> dict:
@@ -272,6 +311,7 @@ def main() -> None:
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREADS},
     }
     record, failures = {"machine": machine, "reps": scale.reps}, []
+    before = piece_times()
     for name, (probe, check) in PROBES.items():
         inputs, raw = probe(scale)
         rows = {size: {k: figure(v) for k, v in row.items()} for size, row in raw.items()}
@@ -281,6 +321,7 @@ def main() -> None:
             if not check(size, row):
                 failures.append(f"{name} at {size} fails its check: {row}")
         record[name] = {**inputs, "sizes": rows}
+    machine["piece_s"] = figure(statistics.median(before + piece_times()))
     write_json(args.out, record)
     if failures:
         raise SystemExit("\n".join(failures))

@@ -5,10 +5,14 @@ must fall on character boundaries. Detection matches on characters and
 converts only the match endpoints to byte offsets, once per scan. The
 scans skip to where a match can start instead of trying every position:
 the numeric date patterns begin with a digit and check what precedes it
-after that digit, a text without two adjacent digits holds no date, and
-in case-sensitive mode the name scan begins with an entry's first
-character. The re-scan of the redacted output runs the same full date
-and name detection on every document.
+after that digit, and a text without two adjacent digits holds no date. A
+Latin-1 text without 0-9 holds no digit at all, since ``\\d`` matches no
+other Latin-1 character, so it is passed over without a regex scan. In
+case-sensitive mode the name scan begins with an entry's first character.
+In both modes it reads the entries only where the text begins with the
+first ``HEAD_CHARS`` characters of one of them, or with all of a shorter
+one. The re-scan of the redacted output runs the same full date and name
+detection on every document.
 
 Redaction splices replacement strings over the spans and leaves every byte
 outside them untouched, which makes the length accounting and the closure
@@ -20,6 +24,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace as _dc_replace
+from operator import itemgetter
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .corpus import Document, read_lines
@@ -100,6 +105,13 @@ def _drop_contained(spans: list[RedactionSpan]) -> list[RedactionSpan]:
 
 
 _BOUNDARY = re.compile(r"\b")
+# How many leading characters of each entry the name scan's head set keeps.
+# At 4, on 6,000 radiology reports and 600 PII notes with 38 entries, a scan
+# tries 2,400 candidates, one per name found (19,087 without heads, 5,364 at
+# 3), and its time stays flat from 20k to 100k entries, which hold most
+# 3-letter heads. The price is memory: the set and its strings took 3.2 MiB
+# at 20k entries and 9.5 MiB at 100k (1.3 and 3.3 MiB at 3).
+HEAD_CHARS = 4
 
 # Lowercase letters whose full uppercase spans several characters yet is
 # shared with another lowercase letter; re.IGNORECASE treats each pair as one.
@@ -138,11 +150,14 @@ class GazetteerRecognizer:
     from word boundary to word boundary while some entry extends it, keeps
     the longest slice that is an entry, and resumes after it. One bisection
     of the sorted entries answers both questions for a slice, since every
-    entry that extends it follows it directly in sorted order. Building the
-    recognizer costs one sort of the entries and keeps one list of them, so
-    its memory grows in proportion to the number of entries. In
-    case-insensitive mode text and entries are compared after a
-    length-preserving per-character fold that agrees with ``re.IGNORECASE``.
+    entry that extends it follows it directly in sorted order. A candidate
+    is passed over unless the text there begins with a head: an entry's
+    first ``HEAD_CHARS`` characters, or all of a shorter entry. Building the
+    recognizer costs one sort of the entries and keeps one list of them and
+    one set of their heads, so its memory grows in proportion to the number
+    of entries. In case-insensitive mode text and entries are compared after
+    a length-preserving per-character fold that agrees with
+    ``re.IGNORECASE``, and the heads are cut after that fold.
     """
 
     def __init__(self, gazetteer: Gazetteer, wildcard: str = NAME_WILDCARD) -> None:
@@ -157,8 +172,10 @@ class GazetteerRecognizer:
         if self._fold is not None:
             entries = {self._key(e) for e in entries}
         self._sorted = sorted(entries)
+        self._heads = set(map(itemgetter(slice(HEAD_CHARS)), self._sorted))
+        self._head_lengths = sorted(set(map(len, self._heads)))
         seconds: dict[str, set[str]] = {}
-        for head in {e[:2] for e in entries}:
+        for head in {h[:2] for h in self._heads}:
             seconds.setdefault(head[0], set()).add(head[1:])
         branches = [
             (re.escape(first), "" if "" in nexts else "[%s]" % re.escape("".join(sorted(nexts))))
@@ -201,12 +218,18 @@ class GazetteerRecognizer:
 
     def detect(self, text: str) -> list[RedactionSpan]:
         keys = self._key(text)
+        heads, head_lengths = self._heads, self._head_lengths
         bounds: list[int] = []
         resume = 0
         for m in self._starts.finditer(text):
             start = m.start()
             if start < resume:
                 continue
+            for k in head_lengths:
+                if keys[start : start + k] in heads:
+                    break
+            else:
+                continue  # no entry starts here
             end = self._match_end(text, keys, start)
             if end is not None:
                 bounds += (start, end)
@@ -260,6 +283,21 @@ _DIGIT_PAIR = re.compile(r"\d\d")
 _YEAR = re.compile(r"\d{4}")
 
 
+def _has_no_digit(text: str) -> bool:
+    """True only if ``text`` holds no character that ``\\d`` matches: it holds
+    none of 0-9 and encodes as Latin-1, in which ``\\d`` matches nothing else
+    (the first other character it matches is U+0660). ``False`` decides
+    nothing."""
+    for d in "0123456789":
+        if d in text:
+            return False
+    try:
+        text.encode("latin-1")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _valid_day(s: str) -> bool:
     return 1 <= int(s) <= 31
 
@@ -275,7 +313,7 @@ def detect_dates(text: str, wildcard: str = DATE_WILDCARD) -> list[RedactionSpan
     "Monat YYYY", and ISO YYYY-MM-DD. Day and month values are range
     checked, so "12.34" or a 34th month never match.
     """
-    if _DIGIT_PAIR.search(text) is None:
+    if _has_no_digit(text) or _DIGIT_PAIR.search(text) is None:
         return []
     found: list[re.Match] = []
     add = found.append

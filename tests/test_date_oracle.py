@@ -4,8 +4,8 @@ them at every position.
 
 The reference below keeps those five patterns and the body of
 ``detect_dates`` unchanged, so a difference in the digit-led patterns or in
-the pre-checks that skip texts without a digit pair or a four-digit run
-shows up as a span difference.
+the pre-checks that skip texts without a digit, a digit pair or a
+four-digit run shows up as a span difference.
 """
 
 import re
@@ -76,6 +76,12 @@ def reference_detect_dates(text: str, wildcard: str = DATE_WILDCARD) -> list[Red
 
 # --- differential test ------------------------------------------------------
 
+# not Latin-1, and each holds one date written in Arabic-Indic digits
+ONLY_NON_ASCII_DIGITS = [
+    "\u0663.\u0664.\u0662\u0660\u0662\u0660 \u4e2d",
+    "\u0662\u0660\u0662\u0660-\u0660\u0663-\u0661\u0662 \u4e2d",
+]
+
 DIGITS = ["0", "1", "2", "3", "9", "12", "31", "2020"]
 SEPARATORS = [".", "-", ". "]
 SPACES = [" ", "\n", "\u00a0"]
@@ -123,15 +129,50 @@ def test_detect_dates_matches_reference(text):
         "März 2020",
         "1.2.2020",
         "\u0661\u0662.\u0663.2020 und 31.12.2020",
+        *ONLY_NON_ASCII_DIGITS,
         "112.3.2020 .1.3.2020 112.03.21 .12.03.21 12020-12-31 \u0663 1.3.2020",
     ],
     ids=[
         "empty", "no-digits", "no-digit-pair", "pair-no-year", "day-month-no-year",
         "d-m-yyyy-at-0", "dd-mm-yy-at-0", "iso-at-0", "month-yyyy-at-0", "whole-text",
-        "non-ascii-digits", "digit-or-dot-before",
+        "non-ascii-digits", "only-non-ascii-digits", "only-non-ascii-digits-iso",
+        "digit-or-dot-before",
     ],
 )
 def test_detect_dates_matches_reference_on_fixed_cases(text):
     assert detect_dates(text) == reference_detect_dates(text)
     if not re.search(r"\d\d", text):
         assert detect_dates(text) == []
+
+
+# --- the gate for texts without a digit ---------------------------------------
+
+ALL_DIGITS = re.findall(r"\d", "".join(map(chr, range(0x110000))))
+
+
+def test_latin1_digits_are_ascii_digits():
+    # the gate rests on this: in Latin-1, \d matches only 0-9
+    assert [d for d in ALL_DIGITS if d <= "\xff"] == list("0123456789")
+    assert min(d for d in ALL_DIGITS if d > "9") == "\u0660"
+
+
+@pytest.mark.parametrize("text", ONLY_NON_ASCII_DIGITS)
+def test_non_ascii_digits_alone_give_a_date(text):
+    assert [s.surface for s in detect_dates(text)] == [text.split()[0]]
+
+
+def test_detect_dates_matches_reference_for_every_digit():
+    # each digit twice, and as day, month and year: a date unless its value is 0
+    for d in ALL_DIGITS:
+        for text in (d + d, f"{d}.{d}.{d * 4}", f"am {d}.{d}.{d * 4} \u4e2d"):
+            assert detect_dates(text) == reference_detect_dates(text), text
+        assert len(detect_dates(f"{d}.{d}.{d * 4}")) == (int(d) > 0), d
+
+
+_LATIN1_WITHOUT_DIGITS = st.characters(max_codepoint=0xFF, blacklist_characters="0123456789")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.text(_LATIN1_WITHOUT_DIGITS), st.sampled_from(MONTHS[:4]))).map("".join))
+def test_latin1_text_without_digits_holds_no_date(text):
+    assert detect_dates(text) == []

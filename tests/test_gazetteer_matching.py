@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from medcorpus.anonymize import (
+    HEAD_CHARS,
     KIND_NAME,
     NAME_WILDCARD,
     Gazetteer,
@@ -156,6 +157,51 @@ def test_detect_matches_regex_oracle_on_many_shared_prefixes(ci):
         ])
         chunks.append(chunk + rng.choice(SEPARATORS))
     assert_same_spans(entries, "".join(chunks), ci)
+
+
+# The scan tries an entry only where the text starts with the first
+# HEAD_CHARS folded characters of some entry, or with all of a shorter one.
+STEM = "Annabelle-Marie"[: HEAD_CHARS + 2]
+GROWN = [STEM[:n] for n in range(1, len(STEM) + 1)]
+
+
+@pytest.mark.parametrize("ci", [False, True])
+@pytest.mark.parametrize("entries", [GROWN, GROWN[::2], GROWN[1::2], GROWN[-1:], GROWN[:1]])
+def test_head_filter_on_entries_of_every_length(entries, ci):
+    # every prefix of the stem and every one-character extension of it, as
+    # written and in other case, each on word boundaries and inside words
+    words = [STEM[:n] + tail for n in range(len(STEM) + 1) for tail in ("", "x", "a")]
+    words += [_variant(w, how) for w in words for how in (1, 2, 3)]
+    text = " ".join(words) + " " + "-".join(words) + " " + "".join(words)
+    assert_same_spans(entries, text, ci)
+
+
+@pytest.mark.parametrize("ci", [False, True])
+@pytest.mark.parametrize("n", range(1, HEAD_CHARS + 2))
+def test_head_filter_near_the_end_of_the_text(n, ci):
+    # the last candidate has fewer than HEAD_CHARS characters left
+    for tail in (STEM[:n], STEM[:n].upper(), STEM[: n - 1] + "x"):
+        for text in (tail, "Befund " + tail, "Anna " + tail, STEM + " " + tail):
+            assert_same_spans(GROWN, text, ci)
+            assert_same_spans(GROWN[n - 1 :], text, ci)
+
+
+@pytest.mark.parametrize("ci", [False, True])
+@pytest.mark.parametrize(
+    "entries, text",
+    [
+        # ß and ẞ fold alike; neither folds to "ss"
+        (["Weiß", "Weißmann", "Groß"], "WEIẞ Weiẞmann weiss GROẞ Groß Gross groß Weißm"),
+        (["ẞen", "ßa", "ß"], "ßen ẞEN ßa ẞa ß ẞ ssa ßx"),
+        # the long s folds to s, the Kelvin sign to k, so their heads do too
+        (["ſusi", "Susann", "ſtefanie"], "Susi SUSI ſuſi Stefanie ſTEFANIE Susanne ſusann"),
+        (["\u212aai", "Karl", "\u212arista"], "Kai kai KAI \u212aarl karl Krista \u212aRISTA Kaiser"),
+        (["İda", "ıda", "Iris"], "İda ida IDA ıda iris İris IRIS Idaho"),
+    ],
+    ids=["sharp-s", "sharp-s-short", "long-s", "kelvin", "dotted-i"],
+)
+def test_head_filter_on_fold_look_alikes(entries, text, ci):
+    assert_same_spans(entries, text, ci)
 
 
 def test_empty_entry_rejected():

@@ -51,7 +51,8 @@ def test_bench_quick_writes_the_record(tmp_path):
     stdout = run_script(tmp_path, "bench.py", ["--quick", "--out", "{tmp}"])
     record = json.loads((tmp_path / "out").read_text(encoding="utf-8"))
     assert sorted(record) == ["dedup", "gazetteer", "machine", "pipeline", "reps", "vocab"]
-    assert sorted(record["machine"]) == ["blas_threads", "cpu_count", "numpy", "python"]
+    assert sorted(record["machine"]) == ["blas_threads", "cpu_count", "numpy", "piece_s", "python"]
+    assert record["machine"]["piece_s"] > 0
     assert record["reps"] == 1
     # each probe's inputs, then the figures of each of its sizes
     probes = {
@@ -61,8 +62,9 @@ def test_bench_quick_writes_the_record(tmp_path):
             "build_s count_s fertility_s merge_s segment_s tokenize_s tokens",
         ),
         "gazetteer": (
-            "docs planted_names",
-            "anonymize_s build_peak_mib build_s dates_s rescan_s residual_docs scan_s vs_first",
+            "clean_docs docs planted_names",
+            "anonymize_s build_peak_mib build_s clean_scan_s dates_s redact_s rescan_s"
+            " residual_docs scan_s vs_first",
         ),
         "pipeline": (
             "pii_docs planted_names",
