@@ -3,7 +3,10 @@
 
 - dedup, first, on ``radiology_corpus(n, 0.19, seed=11)`` at 20k and 50k
   reports, each run in a fresh process: generation, ``dedup_documents``,
-  the removed count and rate, and peak RSS;
+  the removed count and rate, and peak RSS; then the same work in its two
+  steps, tokenization (``TermRows.from_documents``) and the screen with
+  its verification (``dedup_indexed`` on those rows). ``dedup_s`` includes
+  the first import of numpy, which the two steps do not pay again;
 - vocab at sizes 1k and 3k on 2k radiology reports: the tokens reached,
   word counting, merging (the build minus counting) and ``build_vocab``;
   then, from an empty memo each, on 2k held-out reports: segmenting their
@@ -22,8 +25,10 @@
 
 Each time is the median of 3 ``time.perf_counter`` runs. A fixed
 pure-Python piece that touches no medcorpus code is timed 5 times before
-the probes and 5 times after them; its median, ``machine.piece_s``, tells
-how fast the host ran, so that two records can be compared. The script exits
+the first probe and 5 times after each probe. Each probe records the
+median of the samples just before and after it as its ``piece_s``, how
+fast the host ran while it ran, so that two records can be compared probe
+by probe; ``machine.piece_s`` is the median of all samples. The script exits
 1 when a removal rate is more than 0.02 from the planted rate, a vocabulary
 falls short of its size or an anonymized output, alone or in the pipeline,
 fails its rescan.
@@ -48,7 +53,7 @@ from medcorpus import corpus
 from medcorpus.anonymize import Gazetteer, GazetteerRecognizer, anonymize_corpus
 from medcorpus.anonymize import detect_dates, detect_names, redact
 from medcorpus.corpus import write_documents, write_json, write_text
-from medcorpus.dedup import DedupConfig, dedup_documents
+from medcorpus.dedup import DedupConfig, TermRows, dedup_documents, dedup_indexed
 from medcorpus.pipeline import run_pipeline
 from medcorpus.subword import VocabConfig, Vocabulary, build_vocab, extract_words
 from medcorpus.subword import filter_rare_chars, measure_fertility, tokenize_text
@@ -119,14 +124,22 @@ def piece_times(n: int = 5) -> list[float]:
 
 def dedup_run(n: int) -> dict:
     generate_s, planted = timed(1, lambda: radiology_corpus(n, PLANTED_RATE, seed=11))
-    dedup_s, (_, reports) = timed(1, lambda: dedup_documents(planted.documents, DedupConfig()))
-    (report,) = reports.values()  # the corpus has one source
+    docs = planted.documents
+    dedup_s, (_, reports) = timed(1, lambda: dedup_documents(docs, DedupConfig()))
+    # the peak of dedup_documents, read before its two steps run again
+    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    # the corpus has one source, so these are the steps of dedup_documents
+    tokenize_s, rows = timed(1, lambda: TermRows.from_documents(docs))
+    screen_verify_s, _ = timed(1, lambda: dedup_indexed(rows, DedupConfig()))
+    (report,) = reports.values()
     return {
         "generate_s": generate_s,
         "dedup_s": dedup_s,
+        "tokenize_s": tokenize_s,
+        "screen_verify_s": screen_verify_s,
         "removed": report.n_removed,
         "rate": report.n_removed / report.n_input,
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
+        "peak_rss_mib": peak_rss_mib,
     }
 
 
@@ -311,9 +324,11 @@ def main() -> None:
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREADS},
     }
     record, failures = {"machine": machine, "reps": scale.reps}, []
-    before = piece_times()
+    pieces = [piece_times()]
     for name, (probe, check) in PROBES.items():
         inputs, raw = probe(scale)
+        pieces.append(piece_times())
+        inputs["piece_s"] = figure(statistics.median(pieces[-2] + pieces[-1]))
         rows = {size: {k: figure(v) for k, v in row.items()} for size, row in raw.items()}
         print(name, *(f"{k}={v}" for k, v in inputs.items()), flush=True)
         for size, row in rows.items():
@@ -321,7 +336,7 @@ def main() -> None:
             if not check(size, row):
                 failures.append(f"{name} at {size} fails its check: {row}")
         record[name] = {**inputs, "sizes": rows}
-    machine["piece_s"] = figure(statistics.median(before + piece_times()))
+    machine["piece_s"] = figure(statistics.median(t for times in pieces for t in times))
     write_json(args.out, record)
     if failures:
         raise SystemExit("\n".join(failures))

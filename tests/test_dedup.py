@@ -2,14 +2,16 @@ import dataclasses
 import importlib.util
 import math
 import random
+import re
 import sys
 import tracemalloc
 import typing
 from array import array
+from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from medcorpus import dedup
 from medcorpus.corpus import Document
@@ -412,6 +414,109 @@ def test_text_and_vector_feeders_build_equal_rows(texts):
     first_seen = list(dict.fromkeys(from_text.ids))
     assert first_seen == list(range(len(first_seen)))
     assert list(from_text.norms) == [v.norm for v in vectors]
+
+
+# --- the chunked row builder against the per-document one ------------------
+
+
+def reference_rows(rows):
+    """The rows of ``(doc_id, term counts)`` pairs as the builder before the
+    chunked one made them, one ``Counter`` per document, kept verbatim."""
+    out = TermRows([], array("q"), array("q"), array("q"), array("d"), array("q"))
+    id_of = dedup._TermIds().__getitem__
+    for doc_id, counts in rows:
+        if not counts:
+            continue
+        values = counts.values()
+        out.doc_ids.append(doc_id)
+        out.ids.extend(map(id_of, counts))
+        out.counts.extend(values)
+        out.lengths.append(len(counts))
+        out.norms.append(dedup._norm(counts))
+        out.n_words.append(sum(values))
+    return out
+
+
+REFERENCE_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def reference_from_documents(docs):
+    return reference_rows((d.id, Counter(REFERENCE_TOKEN_RE.findall(d.text.lower()))) for d in docs)
+
+
+def assert_same_rows(got, want):
+    assert got.doc_ids == want.doc_ids
+    for name in ("ids", "counts", "lengths", "norms", "n_words"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.typecode, a.tobytes()) == (b.typecode, b.tobytes()), name
+
+
+def assert_both_feeders_match_the_reference(docs):
+    want = reference_from_documents(docs)
+    assert_same_rows(TermRows.from_documents(docs), want)
+    assert_same_rows(TermRows.from_vectors(vectors_with_terms(docs)), want)
+
+
+def test_rows_of_the_mixed_pipeline_inputs_equal_the_reference():
+    # the seed-0 inputs of the pipeline-mixed benchmark workload
+    docs = radiology_corpus(6000, 0.19, seed=1).documents + pii_corpus(600, seed=2).documents
+    for source in ("radiology-report", "ehr"):
+        part = [d for d in docs if d.source == source]
+        assert len(part) > 500
+        assert_both_feeders_match_the_reference(part)
+
+
+# the alphabet of _texts plus letters outside Latin-1, characters that
+# lowercase into it (KELVIN SIGN) or out of one letter into two (İ), a
+# titlecase letter, an Arabic-Indic digit, superscripts and non-word Latin-1
+_wide_texts = st.lists(
+    st.text(alphabet="abcäß AB_-,.12" + "łΣİ\u212aǅ٣²ª×_", max_size=30), max_size=25
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_texts)
+@example(["İstanbul ŁÓDŹ", "\u212aelvin Kelvin", "x²ª_y×z", "٣٣ a", "ǅa ǅA"])
+@pytest.mark.parametrize("budget", [1, 2, 7, dedup.ROW_CHUNK_TOKENS])
+def test_chunked_rows_equal_the_reference(budget, texts):
+    docs = [doc(f"d{i}", text) for i, text in enumerate(texts)]
+    with mock.patch.object(dedup, "ROW_CHUNK_TOKENS", budget):
+        assert_both_feeders_match_the_reference(docs)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7])
+def test_rows_in_tiny_chunks_equal_the_reference(budget):
+    docs = three_sources(0)
+    with mock.patch.object(dedup, "ROW_CHUNK_TOKENS", budget):
+        assert_both_feeders_match_the_reference(docs)
+
+
+def test_latin1_token_class_is_the_unicode_class_below_256():
+    unicode_class = re.compile(r"[^\W_]")
+    for code in range(256):
+        ch = chr(code)
+        assert bool(dedup._LATIN1_TOKEN_RE.fullmatch(ch)) == bool(unicode_class.fullmatch(ch)), code
+
+
+def test_term_rows_working_memory_grows_with_the_chunk_not_the_corpus():
+    import numpy  # noqa: F401  the builder's first import of numpy is not its memory
+
+    def transient(n_docs):
+        """The tracemalloc peak of tokenizing ``n_docs`` reports less the
+        bytes of the rows it returns."""
+        docs = radiology_corpus(n_docs, 0.19, seed=0).documents
+        tracemalloc.start()
+        try:
+            rows = TermRows.from_documents(docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = (getattr(rows, f.name) for f in dataclasses.fields(rows))
+        return peak - sum(map(sys.getsizeof, fields))
+
+    # about 1.2 MiB at both sizes; counting every token at once took 5.6
+    # and 19.7 MiB
+    assert transient(8000) - transient(2000) < 2**20
 
 
 def test_dedup_documents_memory_stays_bounded():

@@ -56,7 +56,10 @@ def test_bench_quick_writes_the_record(tmp_path):
     assert record["reps"] == 1
     # each probe's inputs, then the figures of each of its sizes
     probes = {
-        "dedup": ("planted_rate", "dedup_s generate_s peak_rss_mib rate removed"),
+        "dedup": (
+            "planted_rate",
+            "dedup_s generate_s peak_rss_mib rate removed screen_verify_s tokenize_s",
+        ),
         "vocab": (
             "distinct_words docs words",
             "build_s count_s fertility_s merge_s segment_s tokenize_s tokens",
@@ -72,7 +75,9 @@ def test_bench_quick_writes_the_record(tmp_path):
         ),
     }
     for name, (inputs, figures) in probes.items():
-        assert sorted(record[name]) == sorted(inputs.split() + ["sizes"])
+        # the host's speed around the probe, beside its inputs
+        assert sorted(record[name]) == sorted(inputs.split() + ["piece_s", "sizes"])
+        assert record[name]["piece_s"] > 0
         assert record[name]["sizes"], name
         for size, row in record[name]["sizes"].items():
             assert sorted(row) == figures.split(), (name, size)
@@ -80,6 +85,7 @@ def test_bench_quick_writes_the_record(tmp_path):
     for row in record["dedup"]["sizes"].values():
         assert abs(row["rate"] - record["dedup"]["planted_rate"]) <= 0.02
         assert row["peak_rss_mib"] > 0
+        assert 0 < row["tokenize_s"] and 0 < row["screen_verify_s"]
     for size, row in record["vocab"]["sizes"].items():
         assert row["tokens"] == int(size)
     gazetteer = record["gazetteer"]
