@@ -21,25 +21,38 @@
   seed=11)`` plus 1k PII notes and their planted names as the gazetteer:
   ``run_pipeline`` wall time, the time summed over its ``write_documents``
   calls, ``compute_corpus_stats``, the ``document_line`` call count, the
-  residual documents and peak RSS. The inputs are written once, untimed.
+  residual documents and peak RSS. The inputs are written once, untimed;
+- startup, per command group of the CLI: the median seconds that a fresh
+  interpreter takes to import ``medcorpus.cli`` and the layers that the
+  group's handlers import, and the medcorpus modules that import loaded.
+  ``uncached_s`` runs with ``PYTHONDONTWRITEBYTECODE=1`` on a copy of the
+  package without ``__pycache__``, so medcorpus compiles from source while
+  the standard library reads its installed caches; ``cached_s`` reads every
+  module from a ``PYTHONPYCACHEPREFIX`` tree that one untimed run filled.
+  The groups and settings alternate within each round of samples.
 
-Each time is the median of 3 ``time.perf_counter`` runs. A fixed
-pure-Python piece that touches no medcorpus code is timed 5 times before
-the first probe and 5 times after each probe. Each probe records the
+Each time is the median of 3 ``time.perf_counter`` runs, or of 11 fresh
+interpreters for startup. A fixed pure-Python piece that touches no
+medcorpus code is timed 5 times before the first probe and 5 times after
+each probe. Each probe records the
 median of the samples just before and after it as its ``piece_s``, how
 fast the host ran while it ran, so that two records can be compared probe
 by probe; ``machine.piece_s`` is the median of all samples. The script exits
 1 when a removal rate is more than 0.02 from the planted rate, a vocabulary
-falls short of its size or an anonymized output, alone or in the pipeline,
-fails its rescan.
+falls short of its size, an anonymized output, alone or in the pipeline,
+fails its rescan, or a command group's import loads another layer.
 """
 
 import argparse
+import json
 import os
 import platform
 import random
 import resource
+import shutil
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -49,6 +62,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import NamedTuple
 
+import medcorpus
 from medcorpus import corpus
 from medcorpus.anonymize import Gazetteer, GazetteerRecognizer, anonymize_corpus
 from medcorpus.anonymize import detect_dates, detect_names, redact
@@ -72,12 +86,13 @@ class Scale(NamedTuple):
     pii_docs: int
     gazetteer_sizes: tuple[int, ...]
     pipeline_docs: tuple[int, ...]
+    startup_samples: int
 
 
 FULL = Scale(
-    3, (20_000, 50_000), 2_000, (1_000, 3_000), 1_000, (2_000, 20_000, 100_000), (20_000,)
+    3, (20_000, 50_000), 2_000, (1_000, 3_000), 1_000, (2_000, 20_000, 100_000), (20_000,), 11
 )
-QUICK = Scale(1, (500,), 50, (300,), 50, (500,), (500,))
+QUICK = Scale(1, (500,), 50, (300,), 50, (500,), (500,), 1)
 PIPELINE_CONFIG = {"inputs": [{"path": "corpus.jsonl"}], "anonymize": {"gazetteer": "names.txt"}}
 
 
@@ -296,12 +311,79 @@ def pipeline_probe(scale: Scale) -> tuple[dict, dict]:
     return {"pii_docs": len(pii.documents), "planted_names": len(pii.names)}, rows
 
 
+# each command group of the CLI -> the layers that its handlers load
+STARTUP_LAYERS = {
+    "stats": ("corpus",),  # ingest, clean, stats
+    "dedup": ("corpus", "dedup"),
+    "anonymize": ("anonymize", "corpus"),
+    "vocab": ("corpus", "subword"),  # vocab build, tokenize, fertility
+    "bench": ("benchmark", "corpus"),
+    "eval": ("benchmark", "corpus", "metrics"),
+    "hpo": ("corpus", "hpo"),
+    "pipeline": ("anonymize", "corpus", "dedup", "pipeline"),  # pipeline, pretrain-config
+}
+STARTUP_TIMER = (
+    "import json, sys, time\n"
+    "t = time.perf_counter()\n"
+    "import medcorpus.cli\n"
+    "for layer in sys.argv[1:]:\n"
+    "    __import__('medcorpus.' + layer)\n"
+    "seconds = time.perf_counter() - t\n"
+    "print(json.dumps([seconds, sorted(m for m in sys.modules if m.startswith('medcorpus.'))]))\n"
+)
+BYTECODE_CACHE = {
+    "uncached_s": "none for medcorpus: PYTHONDONTWRITEBYTECODE=1 on a copy without __pycache__",
+    "cached_s": "every module, from a PYTHONPYCACHEPREFIX tree filled by one untimed run",
+}
+
+
+def startup_probe(scale: Scale) -> tuple[dict, dict]:
+    with tempfile.TemporaryDirectory() as tmp:
+        package = Path(medcorpus.__file__).parent
+        shutil.copytree(package, Path(tmp, "src", package.name),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+        env["PYTHONPATH"] = str(Path(tmp, "src"))
+        envs = {
+            "uncached_s": {**env, "PYTHONDONTWRITEBYTECODE": "1"},
+            "cached_s": {**env, "PYTHONPYCACHEPREFIX": str(Path(tmp, "pycache"))},
+        }
+
+        def run(setting: str, layers) -> list:
+            out = subprocess.run(
+                [sys.executable, "-c", STARTUP_TIMER, *layers], env=envs[setting], cwd=tmp,
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            return json.loads(out)
+
+        run("cached_s", sorted({m for layers in STARTUP_LAYERS.values() for m in layers}))
+        samples = {(group, setting): [] for group in STARTUP_LAYERS for setting in envs}
+        loaded = {}
+        for _ in range(scale.startup_samples):
+            for group, layers in STARTUP_LAYERS.items():
+                for setting in envs:
+                    seconds, loaded[group] = run(setting, layers)
+                    samples[group, setting].append(seconds)
+    rows = {
+        group: {
+            **{setting: statistics.median(samples[group, setting]) for setting in envs},
+            "loaded": " ".join(m.removeprefix("medcorpus.") for m in loaded[group]),
+        }
+        for group in STARTUP_LAYERS
+    }
+    return {"samples": scale.startup_samples, "bytecode_cache": BYTECODE_CACHE}, rows
+
+
 # each probe, and the check that each of its rows must pass
 PROBES = {
     "dedup": (dedup_probe, lambda size, row: abs(row["rate"] - PLANTED_RATE) <= RATE_TOLERANCE),
     "vocab": (vocab_probe, lambda size, row: row["tokens"] == size),
     "gazetteer": (gazetteer_probe, lambda size, row: row["residual_docs"] == 0),
     "pipeline": (pipeline_probe, lambda size, row: row["residual_docs"] == 0),
+    "startup": (
+        startup_probe,
+        lambda group, row: row["loaded"].split() == sorted({"cli", *STARTUP_LAYERS[group]}),
+    ),
 }
 
 

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data or input error, 3 internal
 error. Every subcommand is a thin wrapper over library functions. A flag
 that is left out passes nothing, so every default is the library's.
+
+Every command reads or writes through ``corpus``; each handler imports the
+other layers it calls, so a command loads only those (the package's
+``__init__`` loads none).
 """
 
 from __future__ import annotations
@@ -11,14 +15,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import anonymize as anon
-from . import benchmark as bench
 from . import corpus as corpus_mod
-from . import dedup as dedup_mod
-from . import hpo as hpo_mod
-from . import metrics as metrics_mod
-from . import pipeline as pipeline_mod
-from . import subword as subword_mod
+
+# the names that dedup.MODES, dedup.COMPARISONS and benchmark's two
+# policies accept, spelt out so that building the parser loads no layer
+DEDUP_MODES = ("representative", "literal")
+DEDUP_COMPARISONS = ("strict", "inclusive")
+BENCH_POLICIES = ("date-matched", "patient-all")
 
 
 class UsageError(Exception):
@@ -92,6 +95,7 @@ def cmd_clean(args) -> int:
 
 
 def cmd_dedup(args) -> int:
+    from . import dedup as dedup_mod
     docs = _load_docs(args.input, args.source)
     cfg = dedup_mod.DedupConfig.from_names(
         **_given(
@@ -115,8 +119,9 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_anonymize(args) -> int:
+    from . import anonymize as anon
     anon.check_wildcards(
-        {"--name-wildcard": args.name_wildcard, "--date-wildcard": args.date_wildcard}
+        _given(**{"--name-wildcard": args.name_wildcard, "--date-wildcard": args.date_wildcard})
     )
     docs = _load_docs(args.input, args.source)
     gazetteer = None
@@ -125,8 +130,7 @@ def cmd_anonymize(args) -> int:
     out_docs, report = anon.anonymize_corpus(
         docs,
         gazetteer,
-        name_wildcard=args.name_wildcard,
-        date_wildcard=args.date_wildcard,
+        **_given(name_wildcard=args.name_wildcard, date_wildcard=args.date_wildcard),
     )
     corpus_mod.write_documents(args.out, out_docs)
     if args.report:
@@ -140,6 +144,7 @@ def cmd_anonymize(args) -> int:
 
 
 def cmd_vocab_build(args) -> int:
+    from . import subword as subword_mod
     docs = _load_docs(args.input, args.source)
     texts = [d.text for d in docs]
     filtered, removed = subword_mod.filter_rare_chars(
@@ -158,6 +163,7 @@ def cmd_vocab_build(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
+    from . import subword as subword_mod
     docs = _load_docs(args.input, args.source)
     vocab = subword_mod.Vocabulary.load(args.vocab)
 
@@ -173,6 +179,7 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_fertility(args) -> int:
+    from . import subword as subword_mod
     docs = _load_docs(args.input, args.source)
     vocab = subword_mod.Vocabulary.load(args.vocab)
     report = subword_mod.measure_fertility(
@@ -185,17 +192,18 @@ def cmd_fertility(args) -> int:
 
 
 def cmd_bench_build(args) -> int:
+    from . import benchmark as bench
     docs = _load_docs(args.docs)
     codes = bench.load_code_records(args.codes)
     examples, n_dropped = bench.assign_codes(
         docs,
         codes,
-        policy=args.policy,
         chapter_filter=args.chapter,
         icd_as_category=not args.full_icd_codes,
+        **_given(policy=args.policy),
     )
     spec = bench.SplitSpec(
-        *args.sizes, **_given(seed=args.seed, min_test_support=args.min_test_support)
+        *args.sizes or (), **_given(seed=args.seed, min_test_support=args.min_test_support)
     )
     bundle = bench.build_task(examples, spec, group_by_patient=not args.no_patient_grouping)
     bench.export_task(bundle, args.out_dir)
@@ -209,6 +217,7 @@ def cmd_bench_build(args) -> int:
 
 
 def cmd_bench_split(args) -> int:
+    from . import benchmark as bench
     examples = bench.load_examples_jsonl(args.input)
     group = not args.no_patient_grouping
     if group and examples and all(ex.patient_ref is None for ex in examples):
@@ -216,7 +225,7 @@ def cmd_bench_split(args) -> int:
             f"{args.input}: no row has a 'patient_ref' to group by; "
             "pass --no-patient-grouping to split per example"
         )
-    spec = bench.SplitSpec(*args.sizes, **_given(seed=args.seed))
+    spec = bench.SplitSpec(*args.sizes or (), **_given(seed=args.seed))
     split = bench.stratified_split(examples, spec, group_by_patient=group)
     bench.write_split(split, args.out_dir)
     print(
@@ -229,6 +238,7 @@ def cmd_bench_split(args) -> int:
 def _read_labels(path: str | None) -> list[str] | None:
     """The labels of a ``--labels`` file, None without one; a file without
     entries or a label given twice is a ``ValueError`` that names the file."""
+    from . import metrics as metrics_mod
     if not path:
         return None
     labels = corpus_mod.read_lines(path)
@@ -242,6 +252,8 @@ def _read_labels(path: str | None) -> list[str] | None:
 
 
 def cmd_eval_clf(args) -> int:
+    from . import benchmark as bench
+    from . import metrics as metrics_mod
     gold = bench.load_examples_jsonl(args.gold)
     preds = metrics_mod.load_classification_predictions(
         ((ex.doc_id, ex.labels) for ex in gold),
@@ -261,6 +273,8 @@ def cmd_eval_clf(args) -> int:
 
 
 def cmd_eval_ner(args) -> int:
+    from . import benchmark as bench
+    from . import metrics as metrics_mod
     gold = bench.load_conll(args.gold)
     rows = corpus_mod.read_jsonl(args.pred, metrics_mod.ner_prediction)
     if len(rows) != len(gold):
@@ -286,14 +300,18 @@ def cmd_eval_ner(args) -> int:
 
 
 def cmd_hpo_run(args) -> int:
+    from . import hpo as hpo_mod
     space = hpo_mod.SearchSpace.load(args.space)
     study = hpo_mod.run_study(
         space,
         hpo_mod.command_objective(args.cmd),
-        n_trials=args.trials,
-        n_startup_trials=args.startup_trials,
         study_path=args.study,
-        **_given(seed=args.seed, n_jobs=args.jobs),
+        **_given(
+            n_trials=args.trials,
+            n_startup_trials=args.startup_trials,
+            seed=args.seed,
+            n_jobs=args.jobs,
+        ),
     )
     states = [t.state for t in study.trials]
     summary = {s: states.count(s) for s in sorted(set(states))}
@@ -310,6 +328,7 @@ def cmd_hpo_run(args) -> int:
 
 
 def cmd_pretrain_config(args) -> int:
+    from . import pipeline as pipeline_mod
     config = pipeline_mod.emit_pretrain_config(args.phase)
     _write_json(args.out, config.to_obj())
     if config.warning:
@@ -318,6 +337,7 @@ def cmd_pretrain_config(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from . import pipeline as pipeline_mod
     config_path = Path(args.config)
     config = corpus_mod.read_json(config_path)
     manifest, anon_report = pipeline_mod.run_pipeline(config, args.out_dir, config_path.parent)
@@ -360,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--source")
     p.add_argument("--threshold", type=float)
-    p.add_argument("--mode", choices=list(dedup_mod.MODES))
+    p.add_argument("--mode", choices=DEDUP_MODES)
     p.add_argument(
-        "--comparison", choices=list(dedup_mod.COMPARISONS),
+        "--comparison", choices=DEDUP_COMPARISONS,
         help="strict: remove only above the threshold; inclusive: at or above",
     )
     p.add_argument(
@@ -378,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source")
     p.add_argument("--gazetteer", help="name list, one entry per line")
     p.add_argument("--case-insensitive", action="store_true")
-    p.add_argument("--name-wildcard", default=anon.NAME_WILDCARD)
-    p.add_argument("--date-wildcard", default=anon.DATE_WILDCARD)
+    p.add_argument("--name-wildcard")
+    p.add_argument("--date-wildcard")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(handler=cmd_anonymize)
@@ -415,11 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = bench_sub.add_parser("build", help="assign codes, select labels, split, export")
     pb.add_argument("docs")
     pb.add_argument("codes")
-    pb.add_argument(
-        "--policy",
-        choices=[bench.POLICY_DATE_MATCHED, bench.POLICY_PATIENT_ALL],
-        default=bench.POLICY_DATE_MATCHED,
-    )
+    pb.add_argument("--policy", choices=BENCH_POLICIES)
     pb.add_argument("--chapter", help="keep only codes with this prefix, e.g. 5-")
     pb.add_argument("--full-icd-codes", action="store_true",
                     help="keep full ICD codes instead of 3-character categories")
@@ -428,10 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = bench_sub.add_parser("split", help="stratified split of labeled examples")
     ps.add_argument("input")
     ps.set_defaults(handler=cmd_bench_split)
-    spec = bench.SplitSpec
     for p in (pb, ps):
-        p.add_argument("--sizes", type=int, nargs=3, metavar=("TRAIN", "VALID", "TEST"),
-                       default=[spec.n_train, spec.n_valid, spec.n_test])
+        p.add_argument("--sizes", type=int, nargs=3, metavar=("TRAIN", "VALID", "TEST"))
         p.add_argument("--seed", type=int)
         p.add_argument("--no-patient-grouping", action="store_true")
         p.add_argument("--out-dir", required=True)
@@ -459,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     ph = hpo_sub.add_parser("run", help="run a study over an external objective command")
     ph.add_argument("--space", required=True, help="search space JSON")
     ph.add_argument("--cmd", required=True, help="objective command")
-    ph.add_argument("--trials", type=int, default=hpo_mod.DEFAULT_N_TRIALS)
+    ph.add_argument("--trials", type=int)
     ph.add_argument("--seed", type=int)
-    ph.add_argument("--startup-trials", type=int, default=hpo_mod.DEFAULT_N_STARTUP_TRIALS)
+    ph.add_argument("--startup-trials", type=int)
     ph.add_argument("--study", help="study JSON path, saved after every trial")
     ph.add_argument("--jobs", type=int, help="trials run in parallel")
     ph.set_defaults(handler=cmd_hpo_run)

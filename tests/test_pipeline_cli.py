@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from medcorpus import cli
+from medcorpus import anonymize as anonymize_mod
+from medcorpus import benchmark, cli, hpo
 from medcorpus import corpus as corpus_mod
 from medcorpus import dedup as dedup_mod
 from medcorpus.benchmark import (
@@ -23,6 +24,7 @@ from medcorpus.pipeline import (
     emit_pretrain_config,
     run_pipeline,
 )
+from medcorpus.subword import VocabConfig, build_vocab
 from medcorpus.synth import benchmark_corpus, pii_corpus, radiology_corpus
 from medcorpus.corpus import CleanPolicy, Document, write_documents
 from medcorpus.dedup import DedupConfig, dedup_exact, vectorize
@@ -563,34 +565,57 @@ def test_cli_import_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_commands_without_dedup_run_with_numpy_blocked(tmp_path):
-    write_documents(tmp_path / "reports.jsonl", radiology_corpus(40, 0.0, seed=0).documents)
-    write_bench_inputs(tmp_path)
+def test_cli_import_loads_corpus_and_no_other_layer():
+    # hpo alone brings in subprocess, concurrent.futures and statistics, and
+    # of the commands only hpo run needs them
+    proc = _run_src_python(
+        "import json, sys, medcorpus.cli; print(json.dumps(["
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'medcorpus'), "
+        "[m for m in ('subprocess', 'concurrent.futures', 'statistics') if m in sys.modules]]))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["medcorpus", "medcorpus.cli", "medcorpus.corpus"], []]
+
+
+def write_command_inputs(directory):
+    """A tiny valid input for every CLI command, written to ``directory``."""
+    reports = radiology_corpus(40, 0.0, seed=0).documents
+    write_documents(directory / "reports.jsonl", reports)
+    build_vocab([d.text for d in reports], VocabConfig(vocab_size=120)).save(directory / "vocab.txt")
+    write_bench_inputs(directory)
     write_examples_jsonl(
-        tmp_path / "gold.jsonl",
+        directory / "gold.jsonl",
         [LabeledExample("d1", "t", {"A"}), LabeledExample("d2", "t", {"B"})],
     )
     write_jsonl(
-        tmp_path / "clf.jsonl",
+        directory / "clf.jsonl",
         [
             {"id": "d1", "scores": {"A": 0.9, "B": 0.2}},
             {"id": "d2", "scores": {"A": 0.3, "B": 0.8}},
         ],
     )
     write_conll(
-        tmp_path / "gold.conll",
+        directory / "gold.conll",
         [
             TokenLabeledExample("a", ["Herr", "Meier", "kam"], ["B-PER", "I-PER", "O"]),
             TokenLabeledExample("b", ["Keine", "Namen"], ["O", "O"]),
         ],
     )
     write_jsonl(
-        tmp_path / "ner.jsonl",
+        directory / "ner.jsonl",
         [
             {"tags": ["B-PER", "O", "O"], "scores": [{"PER": 0.9}, {"PER": 0.8}, {"PER": 0.1}]},
             {"tags": ["O", "O"], "scores": [{"PER": 0.2}, {"PER": 0.4}]},
         ],
     )
+    (directory / "names.txt").write_text("Meier\n", encoding="utf-8")
+    (directory / "space.json").write_text("{}", encoding="utf-8")
+    config = {"inputs": [{"path": "reports.jsonl"}], "anonymize": {"gazetteer": "names.txt"}}
+    (directory / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+
+def test_cli_commands_without_dedup_run_with_numpy_blocked(tmp_path):
+    write_command_inputs(tmp_path)
     commands = [
         ["stats", "reports.jsonl", "--json", "stats.json"],
         ["vocab", "build", "reports.jsonl", "--vocab-size", "120", "--out", "vocab.txt"],
@@ -611,6 +636,75 @@ def test_cli_commands_without_dedup_run_with_numpy_blocked(tmp_path):
     assert proc.stdout.splitlines()[-1] == str([0] * len(commands)), proc.stderr
     assert json.loads((tmp_path / "clf.json").read_text())["macro"]["auroc"] == 100.0
     assert json.loads((tmp_path / "ner.json").read_text())["per_class"]["PER"]["auroc"] == 100.0
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("command_inputs")
+    write_command_inputs(directory)
+    return directory
+
+
+_PIPELINE_LAYERS = ("anonymize", "dedup", "pipeline")
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["ingest", "reports.jsonl", "--out", "ingested.jsonl"], ()),
+        (["stats", "reports.jsonl", "--out", "stats.tsv"], ()),
+        (["clean", "reports.jsonl", "--out", "cleaned.jsonl"], ()),
+        (["dedup", "reports.jsonl", "--out", "deduped.jsonl"], ("dedup",)),
+        (
+            ["anonymize", "reports.jsonl", "--gazetteer", "names.txt", "--out", "anon.jsonl"],
+            ("anonymize",),
+        ),
+        (
+            ["vocab", "build", "reports.jsonl", "--vocab-size", "120", "--out", "built.txt"],
+            ("subword",),
+        ),
+        (["tokenize", "reports.jsonl", "--vocab", "vocab.txt", "--out", "tok.jsonl"], ("subword",)),
+        (["fertility", "reports.jsonl", "--vocab", "vocab.txt"], ("subword",)),
+        (
+            [
+                "bench", "build", "docs.jsonl", "codes.csv", "--chapter", "5-",
+                "--sizes", "60", "30", "30", "--min-test-support", "2", "--out-dir", "task",
+            ],
+            ("benchmark",),
+        ),
+        (
+            ["bench", "split", "gold.jsonl", "--sizes", "1", "1", "0",
+             "--no-patient-grouping", "--out-dir", "parts"],
+            ("benchmark",),
+        ),
+        (["eval", "clf", "--gold", "gold.jsonl", "--pred", "clf.jsonl"], ("benchmark", "metrics")),
+        (["eval", "ner", "--gold", "gold.conll", "--pred", "ner.jsonl"], ("benchmark", "metrics")),
+        (
+            ["hpo", "run", "--space", "space.json", "--cmd", "sh -c 'echo final=1.0'",
+             "--trials", "1"],
+            ("hpo",),
+        ),
+        (["pretrain-config", "--phase", "1", "--out", "pretrain.json"], _PIPELINE_LAYERS),
+        (["pipeline", "--config", "config.json", "--out-dir", "pipe"], _PIPELINE_LAYERS),
+    ],
+    ids=[
+        "ingest", "stats", "clean", "dedup", "anonymize", "vocab build", "tokenize",
+        "fertility", "bench build", "bench split", "eval clf", "eval ner", "hpo run",
+        "pretrain-config", "pipeline",
+    ],
+)
+def test_cli_command_loads_corpus_and_its_own_layers(command_inputs, argv, layers):
+    probe = (
+        "import json, sys; from medcorpus.cli import main; code = main(json.loads(sys.argv[1])); "
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'medcorpus')]))"
+    )
+    proc = _run_src_python(probe, json.dumps(argv), cwd=command_inputs)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert loaded == sorted(
+        ["medcorpus", "medcorpus.cli", "medcorpus.corpus", *(f"medcorpus.{m}" for m in layers)]
+    )
 
 
 def test_cli_dedup_runs_with_scipy_blocked(tmp_path, capsys):
@@ -641,6 +735,108 @@ def test_cli_no_arguments_is_usage_error(capsys):
 def test_cli_unknown_command_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_choice_names_are_the_librarys():
+    assert cli.DEDUP_MODES == tuple(dedup_mod.MODES)
+    assert cli.DEDUP_COMPARISONS == tuple(dedup_mod.COMPARISONS)
+    assert cli.BENCH_POLICIES == (benchmark.POLICY_DATE_MATCHED, benchmark.POLICY_PATIENT_ALL)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dedup", "c.jsonl", "--mode", "fuzzy"],
+         "argument --mode: invalid choice: 'fuzzy' (choose from 'representative', 'literal')"),
+        (["dedup", "c.jsonl", "--comparison", "loose"],
+         "argument --comparison: invalid choice: 'loose' (choose from 'strict', 'inclusive')"),
+        (["bench", "build", "d.jsonl", "c.csv", "--policy", "any", "--out-dir", "task"],
+         "argument --policy: invalid choice: 'any' (choose from 'date-matched', 'patient-all')"),
+    ],
+    ids=["mode", "comparison", "policy"],
+)
+def test_cli_unknown_choice_is_usage_error(capsys, argv, message):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def _split_examples(n):
+    labels = "ABCD"
+    return [LabeledExample(f"d{i}", "t", {labels[i % 4], labels[i % 3]}) for i in range(n)]
+
+
+def _flag_default_cases():
+    """(flag, the library's default as arguments, argv, input writer) for
+    every flag whose default the library holds."""
+    spec = benchmark.SplitSpec()
+
+    def pii_inputs(directory):
+        planted = pii_corpus(30, seed=3)
+        write_documents(directory / "pii.jsonl", planted.documents)
+        (directory / "names.txt").write_text("\n".join(planted.names) + "\n", encoding="utf-8")
+
+    def split_inputs(directory):
+        write_examples_jsonl(directory / "examples.jsonl", _split_examples(spec.total + 100))
+
+    def space(directory):
+        (directory / "space.json").write_text("{}", encoding="utf-8")
+
+    anonymize = ["anonymize", "pii.jsonl", "--gazetteer", "names.txt", "--out", "out/pii.jsonl",
+                 "--report", "out/report.json"]
+    # trials after the startup ones are pruned when their first step is below the median
+    stepped = "sh -c 'echo step=1 value=$HPO_WARMUP_STEPS; echo final=$HPO_WARMUP_STEPS'"
+    return [
+        ("--name-wildcard", [anonymize_mod.NAME_WILDCARD], anonymize, pii_inputs),
+        ("--date-wildcard", [anonymize_mod.DATE_WILDCARD], anonymize, pii_inputs),
+        (
+            "--policy", [benchmark.POLICY_DATE_MATCHED],
+            ["bench", "build", "docs.jsonl", "codes.csv", "--chapter", "5-", "--sizes", "60",
+             "30", "30", "--min-test-support", "2", "--out-dir", "out"],
+            lambda directory: write_bench_inputs(directory),  # defined further down
+        ),
+        (
+            "--sizes", [str(spec.n_train), str(spec.n_valid), str(spec.n_test)],
+            ["bench", "split", "examples.jsonl", "--no-patient-grouping", "--out-dir", "out"],
+            split_inputs,
+        ),
+        (
+            "--trials", [str(hpo.DEFAULT_N_TRIALS)],
+            ["hpo", "run", "--space", "space.json", "--cmd", "sh -c 'echo final=1.0'",
+             "--study", "out/study.json"],
+            space,
+        ),
+        (
+            "--startup-trials", [str(hpo.DEFAULT_N_STARTUP_TRIALS)],
+            ["hpo", "run", "--space", "space.json", "--cmd", stepped, "--trials", "12",
+             "--study", "out/study.json"],
+            space,
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, default, argv, write_inputs",
+    [pytest.param(*case, id=case[0]) for case in _flag_default_cases()],
+)
+def test_cli_flag_left_out_acts_as_the_library_default(
+    tmp_path, capsys, monkeypatch, flag, default, argv, write_inputs
+):
+    runs = {}
+    for name, args in (("left-out", argv), ("given", [*argv, flag, *default])):
+        directory = tmp_path / name
+        (directory / "out").mkdir(parents=True)
+        write_inputs(directory)
+        monkeypatch.chdir(directory)
+        code = cli.main(args)
+        out = capsys.readouterr()
+        files = {
+            str(p.relative_to(directory / "out")): p.read_bytes()
+            for p in sorted((directory / "out").rglob("*")) if p.is_file()
+        }
+        runs[name] = (code, out.out, out.err, files)
+    assert runs["left-out"][0] == 0
+    assert runs["left-out"][3]
+    assert runs["left-out"] == runs["given"]
 
 
 def test_cli_missing_required_flag_is_usage_error(capsys):

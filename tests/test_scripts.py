@@ -50,7 +50,9 @@ def test_script_runs(tmp_path, script, args, expected):
 def test_bench_quick_writes_the_record(tmp_path):
     stdout = run_script(tmp_path, "bench.py", ["--quick", "--out", "{tmp}"])
     record = json.loads((tmp_path / "out").read_text(encoding="utf-8"))
-    assert sorted(record) == ["dedup", "gazetteer", "machine", "pipeline", "reps", "vocab"]
+    assert sorted(record) == [
+        "dedup", "gazetteer", "machine", "pipeline", "reps", "startup", "vocab"
+    ]
     assert sorted(record["machine"]) == ["blas_threads", "cpu_count", "numpy", "piece_s", "python"]
     assert record["machine"]["piece_s"] > 0
     assert record["reps"] == 1
@@ -73,6 +75,7 @@ def test_bench_quick_writes_the_record(tmp_path):
             "pii_docs planted_names",
             "document_lines peak_rss_mib residual_docs stats_s wall_s write_documents_s",
         ),
+        "startup": ("bytecode_cache samples", "cached_s loaded uncached_s"),
     }
     for name, (inputs, figures) in probes.items():
         # the host's speed around the probe, beside its inputs
@@ -81,7 +84,7 @@ def test_bench_quick_writes_the_record(tmp_path):
         assert record[name]["sizes"], name
         for size, row in record[name]["sizes"].items():
             assert sorted(row) == figures.split(), (name, size)
-            assert f"{int(size):>9} " in stdout
+            assert f"{size:>9} " in stdout
     for row in record["dedup"]["sizes"].values():
         assert abs(row["rate"] - record["dedup"]["planted_rate"]) <= 0.02
         assert row["peak_rss_mib"] > 0
@@ -97,3 +100,14 @@ def test_bench_quick_writes_the_record(tmp_path):
         assert 0 < row["stats_s"] < row["wall_s"]
         assert row["document_lines"] > 0
         assert row["peak_rss_mib"] > 0
+    startup = record["startup"]
+    assert startup["samples"] == 1
+    assert sorted(startup["bytecode_cache"]) == ["cached_s", "uncached_s"]
+    # one row per command group, each loading the CLI, corpus and its own layers
+    assert sorted(startup["sizes"]) == [
+        "anonymize", "bench", "dedup", "eval", "hpo", "pipeline", "stats", "vocab"
+    ]
+    assert startup["sizes"]["stats"]["loaded"] == "cli corpus"
+    assert startup["sizes"]["pipeline"]["loaded"] == "anonymize cli corpus dedup pipeline"
+    for row in startup["sizes"].values():
+        assert 0 < row["cached_s"] and 0 < row["uncached_s"]
