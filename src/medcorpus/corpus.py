@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, replace
 from datetime import date as _date
@@ -205,7 +206,16 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     ``path``, so a reader never sees a half-written artifact and a failure
     part-way leaves the old file as it was. ``chunks`` is consumed lazily.
     A chunk that UTF-8 cannot encode, such as one holding a lone surrogate,
-    raises a ``ValueError`` that names the file."""
+    raises a ``ValueError`` that names the file. The path ``"-"`` is
+    standard output, which gets the whole text or, on that error, nothing."""
+    if path == "-":
+        text = "".join(chunks)
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"standard output: {exc}") from None
+        sys.stdout.write(text)
+        return
     path = Path(path)
     if path.exists() and not path.is_file():
         # a pipe or device such as /dev/stdout can be written but not replaced
@@ -254,6 +264,22 @@ def json_text(obj) -> str:
 def write_json(path: str | Path, obj) -> None:
     """Write ``obj`` in :func:`json_text` format."""
     write_text(path, [json_text(obj)])
+
+
+def write_artifacts(*pairs, line: Callable[[Document], str] = document_line) -> None:
+    """Write each ``(path, content)`` pair in order, skipping a pair whose
+    path is None or empty: a ``str`` as text, a ``dict`` through
+    :func:`write_json`, anything else as documents through ``line`` (see
+    :func:`write_documents`)."""
+    for path, content in pairs:
+        if not path:
+            continue
+        if isinstance(content, str):
+            write_text(path, [content])
+        elif isinstance(content, dict):
+            write_json(path, content)
+        else:
+            write_documents(path, content, line)
 
 
 def read_lines(path: str | Path) -> list[str]:

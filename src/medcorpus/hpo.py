@@ -13,6 +13,7 @@ byte-identical study files.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import random
@@ -136,6 +137,8 @@ class Trial:
                 f"trial {self.trial_id}: step {step} not greater than previous "
                 f"step {self.intermediate[-1][0]}"
             )
+        if not math.isfinite(value):  # no study can rank NaN or an infinity
+            raise ValueError(f"trial {self.trial_id}: step {step} value {value} is not finite")
         self.intermediate.append((step, value))
 
     def best_up_to(self, step: int) -> float | None:
@@ -247,7 +250,9 @@ def run_study(
     callback; the callback raises :class:`TrialPruned` when the trial
     should stop, and the objective's return value becomes the final value.
     Any other exception marks the trial failed, with the exception's type
-    and message as its ``error``, and the study moves on.
+    and message as its ``error``, and the study moves on; so does a
+    reported or final value that is NaN or infinite. A trial joins
+    ``study.trials`` when it starts, which stays in trial-id order.
 
     Params are sampled in trial-id order regardless of ``n_jobs``. With
     ``n_jobs`` > 1 trials run in parallel and pruning compares against
@@ -261,6 +266,8 @@ def run_study(
     lock = threading.Lock()
 
     def run_one(trial: Trial) -> None:
+        with lock:
+            bisect.insort(study.trials, trial, key=lambda t: t.trial_id)
         try:
             def report(step: int, value: float) -> None:
                 with lock:
@@ -269,9 +276,11 @@ def run_study(
                 if prune:
                     raise TrialPruned(f"trial {trial.trial_id} pruned at step {step}")
 
-            final = objective(trial.params, report)
+            final = float(objective(trial.params, report))
+            if not math.isfinite(final):
+                raise ValueError(f"trial {trial.trial_id}: final value {final} is not finite")
             with lock:
-                trial.final_value = float(final)
+                trial.final_value = final
                 trial.state = STATE_COMPLETE
         except TrialPruned:
             with lock:
@@ -286,12 +295,9 @@ def run_study(
 
     trials = [Trial(i, sample_params(space, rng)) for i in range(n_trials)]
     if n_jobs == 1:
-        # append lazily so a saved study never lists trials that have not started
         for trial in trials:
-            study.trials.append(trial)
             run_one(trial)
     else:
-        study.trials.extend(trials)
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             list(pool.map(run_one, trials))
     return study

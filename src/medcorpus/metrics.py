@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import write_json, write_text
+from .corpus import write_artifacts
 
 
 class UndefinedMetricError(ValueError):
@@ -221,7 +221,10 @@ def ner_token_report(
     per-class AUROC over tokens is added. A label given twice is a
     ``ValueError``."""
     if len(gold_tags) != len(pred_tags):
-        raise ValueError("gold and predictions have different document counts")
+        raise ValueError(
+            "gold and predictions have different document counts: "
+            f"{len(gold_tags)} gold, {len(pred_tags)} predicted"
+        )
     if token_scores is not None and len(token_scores) != len(gold_tags):
         raise ValueError("token_scores and gold have different document counts")
     flat_gold: list[str | None] = []
@@ -281,10 +284,7 @@ def render_report_tsv(report: MetricReport) -> str:
 
 
 def write_report(report: MetricReport, json_path=None, tsv_path=None) -> None:
-    if json_path is not None:
-        write_json(json_path, report.to_obj())
-    if tsv_path is not None:
-        write_text(tsv_path, [render_report_tsv(report)])
+    write_artifacts((json_path, report.to_obj()), (tsv_path, render_report_tsv(report)))
 
 
 def _is_score_map(obj: object) -> bool:

@@ -93,12 +93,6 @@ class StageRecord:
 class PipelineManifest:
     stages: list[StageRecord] = field(default_factory=list)
 
-    def to_obj(self) -> dict:
-        return asdict(self)
-
-    def save(self, path: str | Path) -> None:
-        corpus_mod.write_json(path, self.to_obj())
-
 
 def _config_hash(obj) -> str:
     return hashlib.sha256(
@@ -222,41 +216,33 @@ def run_pipeline(
             text = lines[id(doc)] = corpus_mod.document_line(doc)
         return text
 
-    def stage(name, cfg_obj, stage_inputs, docs_file, docs, report_file, report, n_in, details):
-        corpus_mod.write_documents(out / docs_file, docs, line)
-        corpus_mod.write_json(out / report_file, report)
-        manifest.stages.append(
-            StageRecord(
-                name,
-                _config_hash(cfg_obj),
-                stage_inputs,
-                [docs_file, report_file],
-                n_in=n_in,
-                n_out=len(docs),
-                details=details,
-            )
-        )
+    def stage(name, cfg_obj, stage_inputs, *files, n_in, n_out, details):
+        corpus_mod.write_artifacts(*((out / f, content) for f, content in files), line=line)
+        manifest.stages.append(StageRecord(
+            name, _config_hash(cfg_obj), stage_inputs, [f for f, _ in files], n_in, n_out, details
+        ))
 
     stage(
         "ingest", top["inputs"], [e["path"] for e in inputs],
-        "ingested.jsonl", docs, "load_report.json", {"errors": load_errors},
-        n_in=len(docs) + len(load_errors), details={"n_errors": len(load_errors)},
+        ("ingested.jsonl", docs), ("load_report.json", {"errors": load_errors}),
+        n_in=len(docs) + len(load_errors), n_out=len(docs), details={"n_errors": len(load_errors)},
     )
     stage(
         "clean", sections["clean"], ["ingested.jsonl"],
-        "cleaned.jsonl", cleaned, "reject_log.json", corpus_mod.reject_log_obj(rejects),
-        n_in=len(docs), details={"n_rejected": len(rejects)},
+        ("cleaned.jsonl", cleaned), ("reject_log.json", corpus_mod.reject_log_obj(rejects)),
+        n_in=len(docs), n_out=len(cleaned), details={"n_rejected": len(rejects)},
     )
     stage(
         "dedup", sections["dedup"], ["cleaned.jsonl"],
-        "deduped.jsonl", deduped, "dedup_report.json",
-        {src: r.to_obj() for src, r in reports.items()},
-        n_in=len(cleaned), details={src: r.n_removed for src, r in reports.items()},
+        ("deduped.jsonl", deduped),
+        ("dedup_report.json", {src: r.to_obj() for src, r in reports.items()}),
+        n_in=len(cleaned), n_out=len(deduped),
+        details={src: r.n_removed for src, r in reports.items()},
     )
     stage(
         "anonymize", sections["anonymize"], ["deduped.jsonl"],
-        "anonymized.jsonl", anonymized, "anonymization_report.json", anon_report.to_obj(),
-        n_in=len(deduped),
+        ("anonymized.jsonl", anonymized), ("anonymization_report.json", anon_report.to_obj()),
+        n_in=len(deduped), n_out=len(anonymized),
         details={
             "name_spans": anon_report.total_name_spans,
             "date_spans": anon_report.total_date_spans,
@@ -266,19 +252,12 @@ def run_pipeline(
     lines.clear()
 
     stats = corpus_mod.compute_corpus_stats(anonymized)
-    corpus_mod.write_text(out / "stats.tsv", [corpus_mod.stats_to_tsv(stats, mb_base)])
-    corpus_mod.write_json(out / "stats.json", corpus_mod.stats_to_obj(stats, mb_base))
-    manifest.stages.append(
-        StageRecord(
-            "stats",
-            _config_hash(sections["stats"]),
-            ["anonymized.jsonl"],
-            ["stats.tsv", "stats.json"],
-            n_in=len(anonymized),
-            n_out=len(anonymized),
-            details={"total_words": stats.total.n_words},
-        )
+    stage(
+        "stats", sections["stats"], ["anonymized.jsonl"],
+        ("stats.tsv", corpus_mod.stats_to_tsv(stats, mb_base)),
+        ("stats.json", corpus_mod.stats_to_obj(stats, mb_base)),
+        n_in=len(anonymized), n_out=len(anonymized), details={"total_words": stats.total.n_words},
     )
 
-    manifest.save(out / "manifest.json")
+    corpus_mod.write_json(out / "manifest.json", asdict(manifest))
     return manifest, anon_report

@@ -1,8 +1,10 @@
 import datetime
 import random
 import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medcorpus.benchmark import (
     CodeRecord,
@@ -370,6 +372,95 @@ def test_conll_round_trip(tmp_path):
     loaded = load_conll(path)
     assert [e.tokens for e in loaded] == [e.tokens for e in examples]
     assert [e.tags for e in loaded] == [e.tags for e in examples]
+
+
+# characters the file formats treat specially, beside any other non-surrogate
+_SPECIAL = st.sampled_from(["\t", "\n", "\r", "\ufeff", "\x0b", "\x85", "\u2028", '"', "\\", " "])
+_TEXT = st.text(_SPECIAL | st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+@st.composite
+def _bio_tags(draw, n):
+    tags = []
+    for _ in range(n):
+        kinds = ["O", "B", "I"] if tags and tags[-1] != "O" else ["O", "B"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "O":
+            tags.append("O")
+        elif kind == "B":
+            tags.append("B-" + draw(st.text(st.sampled_from("PER\t\n"), max_size=3)))
+        else:
+            tags.append("I-" + tags[-1][2:])
+    return tags
+
+
+@st.composite
+def _tagged_examples(draw):
+    examples = []
+    for i in range(draw(st.integers(0, 3))):
+        tokens = draw(st.lists(_TEXT, min_size=1, max_size=4))
+        examples.append(TokenLabeledExample(f"d{i}", tokens, draw(_bio_tags(len(tokens)))))
+    return examples
+
+
+@settings(max_examples=300)
+@given(_tagged_examples())
+def test_load_conll_reads_back_what_write_conll_writes(tmp_path_factory, examples):
+    base = tmp_path_factory.mktemp("conll")
+    expected = [(ex.tokens, ex.tags) for ex in examples]
+    # the same lines written without checks: write_conll refuses exactly what
+    # the reader would not give back
+    raw = base / "raw.conll"
+    raw.write_text(
+        "\n".join("".join(f"{t}\t{g}\n" for t, g in zip(ex.tokens, ex.tags)) for ex in examples),
+        encoding="utf-8",
+    )
+    try:
+        readable = [(ex.tokens, ex.tags) for ex in load_conll(raw)] == expected
+    except ValueError:
+        readable = False
+    path = base / "t.conll"
+    if readable:
+        write_conll(path, examples)
+        assert path.read_bytes() == raw.read_bytes()
+        assert [(ex.tokens, ex.tags) for ex in load_conll(path)] == expected
+    else:
+        with pytest.raises(ValueError, match=r"^example 'd\d': token .* is no CoNLL line"):
+            write_conll(path, examples)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("token", ["a\tb", "a\nb", "a\rb", "\ufeffa"])
+def test_conll_export_refuses_a_token_the_reader_would_split(tmp_path, token):
+    bad = TokenLabeledExample("d1", [token, "c"], ["O", "O"])
+    with pytest.raises(ValueError, match=f"^example 'd1': token {re.escape(repr(token))} "):
+        write_conll(tmp_path / "t.conll", [bad])
+    assert list(tmp_path.iterdir()) == []
+
+
+_LABELED = st.builds(
+    LabeledExample,
+    doc_id=_TEXT,
+    text=_TEXT,
+    labels=st.sets(_TEXT, min_size=1, max_size=3),
+    patient_ref=st.none() | _TEXT,
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_LABELED, max_size=4))
+def test_load_examples_reads_back_what_write_examples_writes(tmp_path_factory, examples):
+    path = tmp_path_factory.mktemp("examples") / "ex.jsonl"
+    write_examples_jsonl(path, examples)
+    # the patient reference stays out of exported splits by design
+    assert load_examples_jsonl(path) == [replace(ex, patient_ref=None) for ex in examples]
+
+
+def test_examples_export_refuses_text_that_utf8_cannot_encode(tmp_path):
+    path = tmp_path / "ex.jsonl"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+        write_examples_jsonl(path, [LabeledExample("d1", "Befund \udcff", {"A"})])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_conll_export_enforces_bio(tmp_path):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -337,6 +338,84 @@ def test_run_study_parallel_smoke():
     study = run_study(SearchSpace(), curve_objective, n_trials=6, seed=0,
                       n_startup_trials=6, n_jobs=2)
     assert len(study.completed()) == 6
+
+
+def test_run_study_parallel_saves_only_started_trials_in_id_order(tmp_path, monkeypatch):
+    snapshots = []
+    monkeypatch.setattr(
+        Study, "save", lambda self, path: snapshots.append([(t.trial_id, t.state) for t in self.trials])
+    )
+
+    def slow(params, report):
+        time.sleep(0.002)
+        return 1.0
+
+    n_jobs, n_trials = 4, 24
+    # a short switch interval makes the workers interleave as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        study = run_study(SearchSpace(), slow, n_trials=n_trials, n_startup_trials=n_trials,
+                          study_path=tmp_path / "study.json", n_jobs=n_jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(snapshots) == n_trials
+    for snapshot in snapshots:
+        ids = [trial_id for trial_id, _ in snapshot]
+        assert ids == sorted(ids)
+        # the saving trial has finished; at most the other workers' trials run
+        assert [state for _, state in snapshot].count("running") <= n_jobs - 1
+    assert snapshots[-1] == [(i, "complete") for i in range(n_trials)]
+    assert [t.trial_id for t in study.trials] == list(range(n_trials))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_study_non_finite_final_value_fails_the_trial(bad):
+    values = iter([bad, 0.5])
+    study = run_study(SearchSpace(), lambda params, report: next(values), n_trials=2)
+    assert [t.state for t in study.trials] == ["failed", "complete"]
+    assert study.trials[0].final_value is None
+    assert study.trials[0].error == f"ValueError: trial 0: final value {bad} is not finite"
+    assert study.best_trial().trial_id == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_study_non_finite_reported_value_fails_the_trial(bad):
+    def objective(params, report):
+        report(1, 0.5)
+        report(2, bad)
+        return 1.0
+
+    study = run_study(SearchSpace(), objective, n_trials=1)
+    (trial,) = study.trials
+    assert trial.state == "failed"
+    assert trial.intermediate == [(1, 0.5)]
+    assert trial.error == f"ValueError: trial 0: step 2 value {bad} is not finite"
+    with pytest.raises(ValueError, match="no completed trials"):
+        study.best_trial()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TRIAL = st.builds(
+    Trial,
+    trial_id=st.integers(0, 10**6),
+    params=st.builds(Params, _FINITE, st.integers(1, 4096), st.integers(0, 10**6)),
+    intermediate=st.lists(st.tuples(st.integers(0, 10**6), _FINITE), max_size=3),
+    state=st.sampled_from(["running", "pruned", "complete", "failed"]),
+    final_value=st.none() | _FINITE,
+    error=st.none() | st.text(max_size=8),
+)
+
+
+@settings(max_examples=200)
+@given(st.builds(
+    Study, st.integers(0, 1000), st.integers(0, 10), st.integers(-(2**63), 2**63),
+    st.lists(_TRIAL, max_size=3),
+))
+def test_study_load_reads_back_what_save_writes(tmp_path_factory, study):
+    path = tmp_path_factory.mktemp("study") / "study.json"
+    study.save(path)
+    assert Study.load(path) == study
 
 
 # --- command objective ------------------------------------------------------

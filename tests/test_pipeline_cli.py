@@ -935,6 +935,57 @@ def test_cli_stats_stdout(tmp_path, capsys):
     assert "Summary" in out
 
 
+# each stage command with every artifact flag pointed at a file; for each flag
+# in turn the file becomes "-"
+DASH_COMMANDS = {
+    "ingest": ["ingest", "c.jsonl", "--out", "o.jsonl", "--report", "r.json"],
+    "clean": ["clean", "c.jsonl", "--out", "o.jsonl", "--reject-log", "r.json"],
+    "dedup": ["dedup", "c.jsonl", "--out", "o.jsonl", "--report", "r.json"],
+    "anonymize": [
+        "anonymize", "c.jsonl", "--gazetteer", "names.txt", "--out", "o.jsonl", "--report", "r.json",
+    ],
+    "stats": ["stats", "c.jsonl", "--out", "s.tsv", "--json", "s.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, flag) for c, argv in DASH_COMMANDS.items() for flag in argv
+     if flag in ("--out", "--report", "--reject-log", "--json")],
+)
+def test_cli_stage_artifact_path_dash_is_standard_output(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    monkeypatch.chdir(tmp_path)
+    write_jsonl(tmp_path / "c.jsonl", [
+        {"id": "a", "source": "radiology-report", "text": "Herr Meier kam am 3.4.2021. " * 8},
+        {"id": "b", "source": "radiology-report", "text": "Herr Meier kam am 3.4.2021. " * 8},
+        {"id": "c", "source": "radiology-report", "text": "kurz"},
+    ])
+    (tmp_path / "names.txt").write_text("Meier\n", encoding="utf-8")
+    argv = DASH_COMMANDS[command]
+    at = argv.index(flag) + 1
+    assert cli.main(argv) == 0
+    artifact = (tmp_path / argv[at]).read_text(encoding="utf-8")
+    to_file = capsys.readouterr().out
+    (tmp_path / argv[at]).unlink()
+    assert cli.main([*argv[:at], "-", *argv[at + 1:]]) == 0
+    to_dash = capsys.readouterr().out
+    assert artifact and artifact in to_dash
+    assert to_dash.replace(artifact, "", 1) == to_file
+    assert not (tmp_path / "-").exists() and not (tmp_path / argv[at]).exists()
+
+
+def test_cli_dash_text_that_utf8_cannot_encode_is_a_data_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_jsonl(tmp_path / "c.jsonl", [{"id": "d", "text": "x"}])
+    assert cli.main(["ingest", "c.jsonl", "--source", "\udcff", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: standard output: 'utf-8' codec can't encode")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+
 def test_cli_clean_writes_reject_log(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     write_jsonl(
@@ -1415,6 +1466,9 @@ def test_cli_eval_ner_count_mismatch(tmp_path, capsys):
     pred_path = tmp_path / "pred.jsonl"
     write_jsonl(pred_path, [{"tags": ["O"]}, {"tags": ["O"]}])
     assert cli.main(["eval", "ner", "--gold", str(gold_path), "--pred", str(pred_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: gold and predictions have different document counts: 1 gold, 2 predicted\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1598,6 +1652,23 @@ def hpo_run_argv(tmp_path):
     script = tmp_path / "obj.py"
     script.write_text("print('final=1.0')\n")
     return ["hpo", "run", "--space", str(space_path), "--cmd", f"python3 {script}", "--trials", "1"]
+
+
+@pytest.mark.parametrize(
+    "output, error",
+    [
+        ("final=nan", "final value nan is not finite"),
+        ("step=1 value=inf\nfinal=1.0", "step 1 value inf is not finite"),
+    ],
+)
+def test_cli_hpo_run_non_finite_value_fails_the_trial(tmp_path, capsys, output, error):
+    argv = hpo_run_argv(tmp_path)
+    (tmp_path / "obj.py").write_text(f"print({output!r})\n")
+    study_path = tmp_path / "study.json"
+    assert cli.main([*argv[:-1], "2", "--study", str(study_path)]) == 2
+    assert capsys.readouterr().out.startswith("no completed trials ({'failed': 2})")
+    trials = json.loads(study_path.read_text())["trials"]
+    assert [t["error"] for t in trials] == [f"ValueError: trial {i}: {error}" for i in range(2)]
 
 
 def test_cli_hpo_run_jobs_zero_is_a_data_error(tmp_path, capsys):
