@@ -30,7 +30,7 @@ import math
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -72,9 +72,15 @@ SCORE_BUFFER_FLOATS = 1 << 20
 ROW_CHUNK_TOKENS = 1 << 13
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
-# The same class over code points 0-255, spelt out: the engine tests it
-# against a bitmap instead of each character's Unicode category.
+# The same class over code points 0-255, spelt out.
 _LATIN1_TOKEN_RE = re.compile(r"[0-9A-Za-zª²³µ¹º¼-¾À-ÖØ-öø-ÿ]+")
+# A byte table over Latin-1: each byte of that class to its lowercase, every
+# other byte to a space. Every Latin-1 character lowercases to one Latin-1
+# character of the same class, so splitting the translation on whitespace
+# gives the class's runs of the lowercased text.
+_LATIN1_TERM_BYTES = bytes(
+    ord(c.lower()) if _LATIN1_TOKEN_RE.fullmatch(c) else 0x20 for c in map(chr, range(256))
+)
 
 
 class EmptyVectorError(ValueError):
@@ -124,15 +130,23 @@ def vectorize(doc: Document) -> BowVector:
 
 def _tokens(text: str) -> list[str]:
     """The analyzer's terms of ``text`` in order: its lowercased runs of
-    letters and digits. The Latin-1 test is made on the lowercased text,
-    the one the regex scans, as lowercasing maps some characters from
-    outside Latin-1 into it (KELVIN SIGN to ``k``)."""
-    text = text.lower()
+    letters and digits, ``_TOKEN_RE.findall(text.lower())``.
+
+    Latin-1 text, nearly all German text, is lowercased and split in one
+    pass: its bytes go through :data:`_LATIN1_TERM_BYTES` and the result is
+    split on the spaces, with no regex scan. Other text is lowercased first
+    and tested again, as lowercasing maps some characters from outside
+    Latin-1 into it (KELVIN SIGN to ``k``); only text still outside Latin-1
+    is scanned with the Unicode class."""
     try:
-        text.encode("latin-1")
+        data = text.encode("latin-1")
     except UnicodeEncodeError:
-        return _TOKEN_RE.findall(text)
-    return _LATIN1_TOKEN_RE.findall(text)
+        text = text.lower()
+        try:
+            data = text.encode("latin-1")
+        except UnicodeEncodeError:
+            return _TOKEN_RE.findall(text)
+    return data.translate(_LATIN1_TERM_BYTES).decode("latin-1").split()
 
 
 class _TermIds(dict):
@@ -346,7 +360,11 @@ class DedupReport:
         return {m for c in self.clusters for m in c.members}
 
     def to_obj(self) -> dict:
-        obj = asdict(self)
+        """The report's JSON object: ``asdict`` of it without ``kept_ids``,
+        whose ids live in the output corpus. Built from the instance dicts,
+        as ``asdict`` deep-copies every cluster; the member lists are the
+        report's own."""
+        obj = {**vars(self), "clusters": [dict(vars(c)) for c in self.clusters]}
         del obj["kept_ids"]
         return obj
 
@@ -528,6 +546,23 @@ def _score_matrices(
     return dense, rows[rest], ids[rest], weights[rest]
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys, by
+    stable passes over their 16-bit digits from the lowest up: one pass
+    when every key is below 2**16, one more per 16 bits the largest key
+    holds above that. numpy sorts 16-bit keys by radix, in linear time."""
+    import numpy as np
+
+    top = int(keys.max()) if len(keys) else 0
+    # the cast to uint16 keeps the low 16 bits of each key
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
+
+
 def _near_threshold_pairs(
     bow: TermRows,
     participants: list[int],
@@ -558,7 +593,7 @@ def _near_threshold_pairs(
     # earlier[e] postings of its term before its own, from first[e] on:
     # the earlier rows that hold the term. Row and entry indices fit in 32
     # bits; only sums of contributions need 64.
-    postings = np.argsort(ids, kind="stable")
+    postings = _stable_order(ids)
     post_rows, post_weights = rows[postings], weights[postings]
     df = np.bincount(ids)
     first = (np.cumsum(df) - df)[ids]

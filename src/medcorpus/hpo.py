@@ -137,8 +137,7 @@ class Trial:
                 f"trial {self.trial_id}: step {step} not greater than previous "
                 f"step {self.intermediate[-1][0]}"
             )
-        if not math.isfinite(value):  # no study can rank NaN or an infinity
-            raise ValueError(f"trial {self.trial_id}: step {step} value {value} is not finite")
+        _check_finite(self.trial_id, f"step {step} value", value)
         self.intermediate.append((step, value))
 
     def best_up_to(self, step: int) -> float | None:
@@ -157,12 +156,24 @@ class Trial:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Trial":
+        """The trial of a study file's entry. A NaN or infinite value, which
+        ``save`` writes as a bare ``NaN`` or ``Infinity``, is a
+        ``ValueError`` that names the trial."""
         params = Params(**obj["params"])
         trial = cls(obj["id"], params, [(int(s), float(v)) for s, v in obj["intermediate"]])
         trial.state = obj["state"]
         trial.final_value = obj["final_value"]
         trial.error = obj.get("error")
+        for step, value in trial.intermediate:
+            _check_finite(trial.trial_id, f"step {step} value", value)
+        if trial.final_value is not None:
+            _check_finite(trial.trial_id, "final value", trial.final_value)
         return trial
+
+
+def _check_finite(trial_id: int, what: str, value: float) -> None:
+    if not math.isfinite(value):  # no study can rank NaN or an infinity
+        raise ValueError(f"trial {trial_id}: {what} {value} is not finite")
 
 
 @dataclass
@@ -201,13 +212,17 @@ class Study:
 
     @classmethod
     def load(cls, path: str | Path) -> "Study":
+        """The study of a file that :meth:`save` wrote; an error names the file."""
         obj = read_json(path)
         if obj["direction"] != DIRECTION:
             raise ValueError(
                 f"{path}: study direction {obj['direction']!r}; only {DIRECTION!r} is supported"
             )
         study = cls(obj["n_trials"], obj["n_startup_trials"], obj["seed"])
-        study.trials = [Trial.from_obj(t) for t in obj["trials"]]
+        try:
+            study.trials = [Trial.from_obj(t) for t in obj["trials"]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return study
 
 
@@ -277,8 +292,7 @@ def run_study(
                     raise TrialPruned(f"trial {trial.trial_id} pruned at step {step}")
 
             final = float(objective(trial.params, report))
-            if not math.isfinite(final):
-                raise ValueError(f"trial {trial.trial_id}: final value {final} is not finite")
+            _check_finite(trial.trial_id, "final value", final)
             with lock:
                 trial.final_value = final
                 trial.state = STATE_COMPLETE

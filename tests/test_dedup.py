@@ -272,6 +272,16 @@ def test_report_accounting_and_serialization():
     assert len(removed) == len(set(removed)) == report.n_removed
 
 
+@pytest.mark.parametrize("mode", [MODE_REPRESENTATIVE, MODE_LITERAL])
+@pytest.mark.parametrize("vectors", [chain_corpus(), []], ids=["clusters", "empty"])
+def test_report_object_is_asdict_without_kept_ids(mode, vectors):
+    report = dedup_exact(vectors, DedupConfig(mode=mode))
+    assert bool(report.clusters) == bool(vectors)
+    want = dataclasses.asdict(report)
+    del want["kept_ids"]
+    assert report.to_obj() == want
+
+
 # --- engine equivalence -----------------------------------------------------
 
 _corpus = st.lists(_counts, min_size=0, max_size=40)
@@ -498,6 +508,35 @@ def test_latin1_token_class_is_the_unicode_class_below_256():
         assert bool(dedup._LATIN1_TOKEN_RE.fullmatch(ch)) == bool(unicode_class.fullmatch(ch)), code
 
 
+def reference_tokens(text):
+    return REFERENCE_TOKEN_RE.findall(text.lower())
+
+
+def test_tokens_of_each_latin1_character_equal_the_reference():
+    for code in range(256):
+        ch = chr(code)
+        for text in (ch, f"x{ch}Y", f"É{ch}ß"):
+            assert dedup._tokens(text) == reference_tokens(text), code
+
+
+# all of Latin-1, and characters that lowercase into it (KELVIN SIGN,
+# ANGSTROM SIGN), out of one letter into two (İ), to a letter of it (ẞ to ß),
+# a titlecase letter and a modifier letter (U+07F5)
+_SPECIALS = "\u212a\u212bİẞǅ\u07f5"
+_latin1_texts = st.text(
+    alphabet=st.characters(max_codepoint=255) | st.sampled_from(_SPECIALS), max_size=40
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_latin1_texts)
+@example("\u212aelvin \u212bngström")
+@example("İSTANBUL STRAẞE ǅEMAL a\u07f5b")
+@example("ÀÉÎÕÜÿµ² ×÷ ¼½¾ ª_º\xa0\x85x")
+def test_tokens_equal_the_reference(text):
+    assert dedup._tokens(text) == reference_tokens(text)
+
+
 def test_term_rows_working_memory_grows_with_the_chunk_not_the_corpus():
     import numpy  # noqa: F401  the builder's first import of numpy is not its memory
 
@@ -532,6 +571,39 @@ def test_dedup_documents_memory_stays_bounded():
     # about 19 MiB: the rows of the source, the screen's matrices and its
     # fixed 8 MiB score buffer; a vector per document took 34 MiB
     assert peak < 26 * 2**20
+
+
+def radix_keys(name):
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    n = 5000
+    if name == "empty":
+        return np.zeros(0, np.int64)
+    if name == "ties":
+        return rng.integers(0, 4, n)
+    if name == "ties-above-2**32":
+        # few high digits, few low ones: every pass has to keep the last one's order
+        return rng.integers(0, 3, n) << 40 | rng.integers(0, 3, n) << 16 | rng.integers(0, 2, n)
+    top = {"below-2**16": 2**16, "below-2**32": 2**32, "2**32-and-above": 2**62}[name]
+    keys = rng.integers(0, top, n)
+    keys[:4] = (0, top - 1, top // 2, top // 2)
+    if top > 2**32:
+        keys[4:8] = (2**32, 2**32 - 1, 2**16, 2**48)
+    return keys
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["empty", "ties", "ties-above-2**32", "below-2**16", "below-2**32", "2**32-and-above"],
+)
+def test_stable_order_is_the_stable_argsort(name):
+    import numpy as np
+
+    keys = radix_keys(name)
+    got = dedup._stable_order(keys)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(keys, kind="stable"))
 
 
 def test_annotations_resolve_with_the_type_checking_imports(monkeypatch):

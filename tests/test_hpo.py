@@ -395,6 +395,29 @@ def test_run_study_non_finite_reported_value_fails_the_trial(bad):
         study.best_trial()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["final value", "step 2 value"])
+def test_study_load_rejects_a_non_finite_value(tmp_path, bad, where):
+    # a hand-made or older study file can hold what run_study no longer writes
+    study = Study(trials=[completed_trial(0, [0.1, 0.2]), completed_trial(1, [0.3, 0.4])])
+    if where == "final value":
+        study.trials[0].final_value = bad
+    else:
+        study.trials[0].intermediate[1] = (2, bad)
+    path = tmp_path / "study.json"
+    study.save(path)
+    message = f"trial 0: {where} {bad} is not finite"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(message)}$"):
+        Study.load(path)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        Trial.from_obj(study.trials[0].to_obj())
+    # a finite study of the same shape loads, and its best trial is the
+    # highest final value
+    study.trials[0] = completed_trial(0, [0.1, 0.2])
+    study.save(path)
+    assert Study.load(path).best_trial().trial_id == 1
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _TRIAL = st.builds(
     Trial,
