@@ -3,7 +3,9 @@
 
 - dedup, first, on ``radiology_corpus(n, 0.19, seed=11)`` at 20k and 50k
   reports, each run in a fresh process: generation, ``dedup_documents``,
-  the removed count and rate, and peak RSS; then the same work in its two
+  the removed count and rate, the pairs verified (``pairs_examined``), the
+  margin below the threshold at which the screen kept a pair
+  (``screen_margin``), and peak RSS; then the same work in its two
   steps, tokenization (``TermRows.from_documents``) and the screen with
   its verification (``dedup_indexed`` on those rows). ``dedup_s`` includes
   the first import of numpy, which the two steps do not pay again;
@@ -63,7 +65,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import medcorpus
-from medcorpus import corpus
+from medcorpus import corpus, dedup
 from medcorpus.anonymize import Gazetteer, GazetteerRecognizer, anonymize_corpus
 from medcorpus.anonymize import detect_dates, detect_names, redact
 from medcorpus.corpus import write_documents, write_json, write_text
@@ -138,6 +140,13 @@ def piece_times(n: int = 5) -> list[float]:
 
 
 def dedup_run(n: int) -> dict:
+    margins = []
+
+    def recording(terms, margin=dedup._score_margin):
+        margins.append(margin(terms))
+        return margins[-1]
+
+    dedup._score_margin = recording
     generate_s, planted = timed(1, lambda: radiology_corpus(n, PLANTED_RATE, seed=11))
     docs = planted.documents
     dedup_s, (_, reports) = timed(1, lambda: dedup_documents(docs, DedupConfig()))
@@ -154,6 +163,8 @@ def dedup_run(n: int) -> dict:
         "screen_verify_s": screen_verify_s,
         "removed": report.n_removed,
         "rate": report.n_removed / report.n_input,
+        "pairs_examined": report.pairs_examined,
+        "screen_margin": margins[0],
         "peak_rss_mib": peak_rss_mib,
     }
 

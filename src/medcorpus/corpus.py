@@ -240,8 +240,9 @@ def _write_utf8(dest: Path, chunks: Iterable[str], path: Path) -> None:
 
 
 def write_jsonl(path: str | Path, rows: Iterable) -> None:
-    """One compact JSON value per line, non-ASCII characters unescaped."""
-    write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    """One compact JSON value per line, non-ASCII characters unescaped. A
+    NaN or infinite float, which JSON cannot hold, raises ``ValueError``."""
+    write_text(path, (json.dumps(row, ensure_ascii=False, allow_nan=False) + "\n" for row in rows))
 
 
 def write_documents(
@@ -257,13 +258,20 @@ def write_documents(
 
 def json_text(obj) -> str:
     """The JSON artifact format: sorted keys, two-space indent, non-ASCII
-    characters unescaped, trailing newline."""
-    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    characters unescaped, trailing newline. A NaN or infinite float, which
+    JSON cannot hold, raises ``ValueError``."""
+    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Write ``obj`` in :func:`json_text` format."""
-    write_text(path, [json_text(obj)])
+    """Write ``obj`` in :func:`json_text` format. A value that format cannot
+    hold raises a ``ValueError`` that names the file, and nothing is
+    written."""
+    try:
+        text = json_text(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    write_text(path, [text])
 
 
 def write_artifacts(*pairs, line: Callable[[Document], str] = document_line) -> None:

@@ -8,15 +8,15 @@ similarity decision and the report are shared:
 
 * :func:`dedup_exact` offers every earlier document. Quadratic, trivially
   auditable, the reference that the tests hold the indexed engine to.
-* :func:`dedup_indexed` screens all pairs on blocked approximate scores
+* :func:`dedup_indexed` screens all pairs on blocked float32 scores
   (dense BLAS products for common terms, an inverted index for rare ones,
   each block of documents against itself and the documents before it) and
-  offers only the pairs whose approximate score is within a safety margin
-  of the threshold. A pair it skips cannot exceed the threshold, so the
-  keep set, the removal set, and the clusters are identical; only
-  ``pairs_examined`` may differ. :func:`dedup_documents`, which the CLI
-  and the pipeline call, tokenizes each source straight into its rows and
-  runs this engine.
+  offers only the pairs whose score is within a margin of the threshold
+  that bounds its rounding error. A pair it skips cannot exceed the
+  threshold, so the keep set, the removal set, and the clusters are
+  identical; only ``pairs_examined`` may differ. :func:`dedup_documents`,
+  which the CLI and the pipeline call, tokenizes each source straight into
+  its rows and runs this engine.
 
 Candidate generation never filters terms by document frequency. Dropping
 high-frequency terms from the index looks attractive but is unsound: two
@@ -53,15 +53,10 @@ MODE_LITERAL = "literal-drop"
 MODES = {"representative": MODE_REPRESENTATIVE, "literal": MODE_LITERAL}
 COMPARISONS = {"strict": COMPARISON_STRICT, "inclusive": COMPARISON_INCLUSIVE}
 
-# Screen scores are float64 dot products of unit vectors; their error is
-# orders of magnitude below this margin, so a pair skipped here can never
-# exceed the threshold under exact verification.
-_SCORE_MARGIN = 1e-6
-
-# Floats in the screen's score buffer (8 MiB). Blocks of max(1, budget // n)
-# of the n participant rows are each scored against the columns up to their
-# own end, the lower triangle of the pair matrix, so the buffer never holds
-# more than the budget, or one row of n floats once n exceeds it.
+# float32 scores in the screen's buffer (4 MiB). Blocks of max(1, budget //
+# n) of the n participant rows are each scored against the columns up to
+# their own end, the lower triangle of the pair matrix, so the buffer never
+# holds more than the budget, or one row of n scores once n exceeds it.
 SCORE_BUFFER_FLOATS = 1 << 20
 
 # Tokens that TermRows counts at a time, in whole documents, so that the
@@ -499,7 +494,8 @@ def _score_matrices(
     """The unit-normalised participant rows, split by document frequency:
     a dense block of the common terms (None when there are none) and the
     entries of the rest, the rare entries, as three arrays: row, term id
-    and weight.
+    and weight. The weights are computed in float64 and rounded once to
+    float32, the dtype of the dense block and of the rare weights.
 
     Term ids follow first-seen order over the participants. The rare
     entries are in row order and every row keeps its own term order, so the
@@ -524,6 +520,7 @@ def _score_matrices(
         rank[np.argsort(first)] = np.arange(len(first))
         ids, weights = rank[inverse], weights[entries]
     weights *= np.repeat(inv_norms, lengths)
+    weights = weights.astype(np.float32)
     rows = np.repeat(np.arange(n, dtype=np.int32), lengths)
 
     df = np.bincount(ids)
@@ -540,10 +537,43 @@ def _score_matrices(
 
     dense = None
     if len(dense_cols):
-        dense = np.zeros((n, len(dense_cols)))
+        dense = np.zeros((n, len(dense_cols)), np.float32)
         dense[rows[in_dense], pos[in_dense]] = weights[in_dense]
     rest = ~in_dense
     return dense, rows[rest], ids[rest], weights[rest]
+
+
+def _score_margin(terms: int) -> float:
+    """How far below the threshold the screen keeps a pair: 2·γ_{m+2}, at
+    least 1e-6, where m = ``terms`` is the number of dense columns plus the
+    term count of the longest participant row, u = 2⁻²⁴ is float32's unit
+    roundoff and γ_k = k·u / (1 − k·u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 3).
+
+    Proof that γ_{m+2} bounds the float32 error of any pair's score. Let
+    x and y be the float64 unit weights of the two rows and s = Σ x_k·y_k
+    their exact dot, over the D dense columns and the r shared rare
+    terms; r is at most either row's term count, so D + r ≤ m. Each
+    product x_k·y_k meets at most m + 2 roundings of relative size at
+    most u: the rounding of x_k and of y_k to float32, the product's
+    own, and at most D + r − 1 ≤ m − 1 additions. BLAS sums the D dense
+    products in some order, where each product passes through at most
+    D − 1 additions (fewer with fused multiply-adds), and ``np.add.at``
+    then adds the r rare products one at a time; without dense columns
+    the first of them is added to an exact zero. By Higham's Lemma 3.1
+    the computed score is Σ x_k·y_k·(1 + θ_k) with |θ_k| ≤ γ_{m+2}. Every
+    weight is positive, so the score's error is at most γ_{m+2}·s, and
+    s ≤ 1 up to float64 rounding by Cauchy–Schwarz, as x and y are unit
+    vectors.
+
+    The second γ_{m+2}, at least 2u, is spare: it covers the float64
+    rounding of the weights (about 1e-16) and the rounding of the cutoff
+    to float32 in the comparisons (u/2 at most), with room left. So a pair
+    whose exact cosine reaches the threshold scores at least threshold −
+    margin, and the screen keeps it. When k·u reaches 1, γ_k is not
+    defined and the margin is infinite: every pair goes to verification."""
+    k = (terms + 2) * 2.0**-24  # (m + 2)·u
+    return max(1e-6, 2 * k / (1 - k)) if k < 1 else math.inf
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -571,11 +601,12 @@ def _near_threshold_pairs(
     """Map each participant to the earlier participants whose approximate
     cosine reaches threshold - margin, in ascending order.
 
-    Scores are computed in row blocks, each against the columns before the
-    block's end only, since a pair is screened from its later member.
-    Terms are split by document frequency: common terms form a dense
-    row-normalized matrix whose block products go through BLAS, and rare
-    terms go into an inverted index. Each rare entry of a row adds its
+    Scores are float32, within half of :func:`_score_margin` of the exact
+    cosine. They are computed in row blocks, each against the columns
+    before the block's end only, since a pair is screened from its later
+    member. Terms are split by document frequency: common terms form a
+    dense row-normalized matrix whose block products go through BLAS, and
+    rare terms go into an inverted index. Each rare entry of a row adds its
     product with every earlier posting of its term to the pair's dense
     score, in the row's term order, before thresholding. The split drops
     nothing, so every pair is screened on its full approximate score;
@@ -608,9 +639,10 @@ def _near_threshold_pairs(
     del postings, first, ids  # the index is built
 
     part = np.asarray(participants)
-    cutoff = cfg.threshold - _SCORE_MARGIN
+    longest = int(np.frombuffer(bow.lengths, np.int64)[part].max())
+    cutoff = cfg.threshold - _score_margin((0 if dense is None else dense.shape[1]) + longest)
     block = min(n, max(1, SCORE_BUFFER_FLOATS // n))
-    buf = np.empty(block * n)
+    buf = np.empty(block * n, np.float32)
     out: dict[int, list[int]] = {}
     for start in range(0, n, block):
         stop = min(start + block, n)

@@ -157,8 +157,9 @@ class Trial:
     @classmethod
     def from_obj(cls, obj: dict) -> "Trial":
         """The trial of a study file's entry. A NaN or infinite value, which
-        ``save`` writes as a bare ``NaN`` or ``Infinity``, is a
-        ``ValueError`` that names the trial."""
+        ``save`` refuses but a hand-made or older study file can hold as a
+        bare ``NaN`` or ``Infinity``, is a ``ValueError`` that names the
+        trial."""
         params = Params(**obj["params"])
         trial = cls(obj["id"], params, [(int(s), float(v)) for s, v in obj["intermediate"]])
         trial.state = obj["state"]

@@ -1,6 +1,7 @@
 import ast
 import datetime
 import json
+import math
 import os
 import re
 import stat
@@ -35,6 +36,7 @@ from medcorpus.corpus import (
     stats_to_tsv,
     write_documents,
     write_json,
+    write_jsonl,
 )
 
 
@@ -445,6 +447,18 @@ def test_write_documents_lone_surrogate_names_the_file(tmp_path):
     with pytest.raises(ValueError, match=rf"^{re.escape(str(out))}: 'utf-8' codec can't encode"):
         write_documents(out, [make_doc("a\udcffb")])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writers_refuse_a_non_finite_float_and_keep_the_old_file(tmp_path, bad):
+    out = tmp_path / "out.json"
+    out.write_text("old\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(out))}: Out of range float"):
+        write_json(out, {"a": [1.0, bad]})
+    with pytest.raises(ValueError, match="^Out of range float"):
+        write_jsonl(out, [{"a": 1.0}, {"a": bad}])
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text(encoding="utf-8") == "old\n"
 
 
 # --- cleaning --------------------------------------------------------------

@@ -346,6 +346,45 @@ def test_shared_high_frequency_term_pair_is_found():
         assert "b" in exact.removed_ids() or "a" in exact.removed_ids()
 
 
+def pair_with_fillers(rng: random.Random, n_terms: int) -> tuple[list[BowVector], float]:
+    """Two rows of ``n_terms`` terms each, 32 of them boilerplate, then 62
+    short fillers that hold the boilerplate too, so that it goes to the
+    dense block; and the exact cosine of the pair, which no filler comes
+    near."""
+    boilerplate = {f"b{k}": 1 + k % 3 for k in range(32)}
+    base = {f"t{i}": rng.randint(1, 9) for i in range(n_terms - 32)}
+    near = {t: c + (rng.random() < 0.05) for t, c in base.items()}
+    pair = [vec("a", {**base, **boilerplate}), vec("b", {**near, **boilerplate})]
+    own = [{f"u{i}.{k}": 1 + k % 5 for k in range(40)} for i in range(62)]
+    fillers = [vec(f"f{i}", {**dict.fromkeys(boilerplate, 1), **u}) for i, u in enumerate(own)]
+    return pair + fillers, cosine_similarity(*pair)
+
+
+def test_score_margin_is_twice_gamma_of_the_terms_plus_two():
+    def gamma(k):
+        return k * 2.0**-24 / (1 - k * 2.0**-24)
+
+    assert dedup._score_margin(0) == 1e-6  # 2·γ_2 is below the floor
+    for terms in (95, 3032):
+        assert dedup._score_margin(terms) == 2 * gamma(terms + 2)
+    assert dedup._score_margin(2**24) == math.inf
+
+
+@pytest.mark.parametrize("n_terms", [1000, 3000])
+@pytest.mark.parametrize("comparison", [COMPARISON_STRICT, COMPARISON_INCLUSIVE])
+@pytest.mark.parametrize("mode", [MODE_REPRESENTATIVE, MODE_LITERAL])
+def test_indexed_keeps_long_pairs_just_above_the_threshold(n_terms, comparison, mode):
+    # rows this long give the screen's float32 scores their largest error,
+    # far above the 1e-9 by which each pair's cosine exceeds the threshold
+    rng = random.Random(n_terms)
+    for _ in range(8):
+        vectors, s = pair_with_fillers(rng, n_terms)
+        cfg = DedupConfig(threshold=s - 1e-9, comparison=comparison, mode=mode)
+        exact = dedup_exact(vectors, cfg)
+        assert exact.removed_ids() == ({"b"} if mode == MODE_REPRESENTATIVE else {"a", "b"})
+        assert report_key(dedup_indexed(vectors, cfg)) == report_key(exact)
+
+
 # --- rows tokenized straight from the text ----------------------------------
 
 

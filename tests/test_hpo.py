@@ -405,7 +405,9 @@ def test_study_load_rejects_a_non_finite_value(tmp_path, bad, where):
     else:
         study.trials[0].intermediate[1] = (2, bad)
     path = tmp_path / "study.json"
-    study.save(path)
+    # save refuses such a study, so the file is written by hand, with the
+    # bare NaN and Infinity tokens of Python's json module
+    path.write_text(json.dumps(study.to_obj()), encoding="utf-8")
     message = f"trial 0: {where} {bad} is not finite"
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(message)}$"):
         Study.load(path)
@@ -416,6 +418,16 @@ def test_study_load_rejects_a_non_finite_value(tmp_path, bad, where):
     study.trials[0] = completed_trial(0, [0.1, 0.2])
     study.save(path)
     assert Study.load(path).best_trial().trial_id == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_study_save_of_a_non_finite_value_raises_and_writes_nothing(tmp_path, bad):
+    study = Study(trials=[completed_trial(0, [0.1, 0.2])])
+    study.trials[0].final_value = bad
+    path = tmp_path / "study.json"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Out of range float"):
+        study.save(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -3,8 +3,12 @@ rare-term scores from an inverted index on numpy alone, against an older
 screen, which scores every row block against all columns and adds the
 scipy sparse product through its COO coordinates.
 
-The reference below is that function unchanged. Both must return the same
-candidate map: the same keys in the same order, each with the same list.
+The reference below is that function, in float64, with the margin below
+the threshold as an argument. The screen scores in float32 within its own
+margin, so a pair whose score lies within float32 rounding of a cutoff may
+land on either side of it. The screen's map must lie between the reference
+maps at half and at twice the screen's margin, key by key and list by list,
+with its keys and lists in ascending order.
 """
 
 import random
@@ -19,7 +23,6 @@ from scipy import sparse
 
 from medcorpus import dedup
 from medcorpus.dedup import (
-    _SCORE_MARGIN,
     BowVector,
     DedupConfig,
     TermRows,
@@ -40,6 +43,7 @@ def reference_near_threshold_pairs(
     vectors: Sequence[BowVector],
     participants: list[int],
     cfg: DedupConfig,
+    margin: float,
 ) -> dict[int, list[int]]:
     """Map each participant to the earlier participants whose approximate
     cosine reaches threshold - margin.
@@ -97,7 +101,7 @@ def reference_near_threshold_pairs(
     )
     remainder_t = remainder.T.tocsr()
 
-    cutoff = cfg.threshold - _SCORE_MARGIN
+    cutoff = cfg.threshold - margin
     out: dict[int, list[int]] = {}
     scores_buf = np.empty((min(BLOCK_ROWS, n), n))
     for start in range(0, n, BLOCK_ROWS):
@@ -125,15 +129,35 @@ def reference_near_threshold_pairs(
 def assert_same_screen(
     vectors: list[BowVector], cfg: DedupConfig, block_rows: int | None = None
 ) -> dict[int, list[int]]:
-    """Compare the screens, the new one in blocks of ``block_rows`` rows,
-    through its score buffer budget, or under the module's budget."""
+    """Bracket the screen, the new one in blocks of ``block_rows`` rows,
+    through its score buffer budget, or under the module's budget, between
+    the reference maps at half and twice the margin it used."""
     rows = TermRows.from_vectors(vectors)
     participants = _participants(rows, cfg)
     budget = dedup.SCORE_BUFFER_FLOATS if block_rows is None else block_rows * len(participants)
-    with mock.patch.object(dedup, "SCORE_BUFFER_FLOATS", budget):
+    margins = []
+
+    def recorded(terms: int, margin=dedup._score_margin) -> float:
+        margins.append(margin(terms))
+        return margins[-1]
+
+    with (
+        mock.patch.object(dedup, "SCORE_BUFFER_FLOATS", budget),
+        mock.patch.object(dedup, "_score_margin", recorded),
+    ):
         got = _near_threshold_pairs(rows, participants, cfg)
-    want = reference_near_threshold_pairs(vectors, participants, cfg)
-    assert list(got.items()) == list(want.items())
+    if not participants:
+        assert got == {}
+        return got
+    (margin,) = margins
+    inner = reference_near_threshold_pairs(vectors, participants, cfg, margin / 2)
+    outer = reference_near_threshold_pairs(vectors, participants, cfg, 2 * margin)
+    assert list(got) == sorted(got)
+    for i, js in got.items():
+        assert js == sorted(js)
+        assert set(js) <= set(outer.get(i, ()))
+    for i, js in inner.items():
+        assert set(js) <= set(got.get(i, ()))
     return got
 
 

@@ -60,7 +60,8 @@ def test_bench_quick_writes_the_record(tmp_path):
     probes = {
         "dedup": (
             "planted_rate",
-            "dedup_s generate_s peak_rss_mib rate removed screen_verify_s tokenize_s",
+            "dedup_s generate_s pairs_examined peak_rss_mib rate removed screen_margin"
+            " screen_verify_s tokenize_s",
         ),
         "vocab": (
             "distinct_words docs words",
@@ -89,6 +90,8 @@ def test_bench_quick_writes_the_record(tmp_path):
         assert abs(row["rate"] - record["dedup"]["planted_rate"]) <= 0.02
         assert row["peak_rss_mib"] > 0
         assert 0 < row["tokenize_s"] and 0 < row["screen_verify_s"]
+        assert row["pairs_examined"] >= row["removed"]
+        assert 1e-6 <= row["screen_margin"] < 1e-4
     for size, row in record["vocab"]["sizes"].items():
         assert row["tokens"] == int(size)
     gazetteer = record["gazetteer"]
