@@ -8,7 +8,10 @@
   (``screen_margin``), and peak RSS; then the same work in its two
   steps, tokenization (``TermRows.from_documents``) and the screen with
   its verification (``dedup_indexed`` on those rows). ``dedup_s`` includes
-  the first import of numpy, which the two steps do not pay again;
+  the first import of numpy, which the two steps do not pay again. Last,
+  ``screen_traced_peak_mib``: the ``tracemalloc`` peak of one more, untimed
+  ``dedup_indexed`` run on the same rows, the live memory of the screen and
+  its verification, which peak RSS mixes with the allocator's layout;
 - vocab at sizes 1k and 3k on 2k radiology reports: the tokens reached,
   word counting, merging (the build minus counting) and ``build_vocab``;
   then, from an empty memo each, on 2k held-out reports: segmenting their
@@ -155,6 +158,10 @@ def dedup_run(n: int) -> dict:
     # the corpus has one source, so these are the steps of dedup_documents
     tokenize_s, rows = timed(1, lambda: TermRows.from_documents(docs))
     screen_verify_s, _ = timed(1, lambda: dedup_indexed(rows, DedupConfig()))
+    tracemalloc.start()
+    dedup_indexed(rows, DedupConfig())
+    screen_traced_peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     (report,) = reports.values()
     return {
         "generate_s": generate_s,
@@ -166,6 +173,7 @@ def dedup_run(n: int) -> dict:
         "pairs_examined": report.pairs_examined,
         "screen_margin": margins[0],
         "peak_rss_mib": peak_rss_mib,
+        "screen_traced_peak_mib": screen_traced_peak_mib,
     }
 
 

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, compress, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -54,7 +53,7 @@ MODES = {"representative": MODE_REPRESENTATIVE, "literal": MODE_LITERAL}
 COMPARISONS = {"strict": COMPARISON_STRICT, "inclusive": COMPARISON_INCLUSIVE}
 
 # float32 scores in the screen's buffer (4 MiB). Blocks of max(1, budget //
-# n) of the n participant rows are each scored against the columns up to
+# n) of the n rows that take part are each scored against the columns up to
 # their own end, the lower triangle of the pair matrix, so the buffer never
 # holds more than the budget, or one row of n scores once n exceeds it.
 SCORE_BUFFER_FLOATS = 1 << 20
@@ -67,15 +66,12 @@ SCORE_BUFFER_FLOATS = 1 << 20
 ROW_CHUNK_TOKENS = 1 << 13
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
-# The same class over code points 0-255, spelt out.
-_LATIN1_TOKEN_RE = re.compile(r"[0-9A-Za-zª²³µ¹º¼-¾À-ÖØ-öø-ÿ]+")
-# A byte table over Latin-1: each byte of that class to its lowercase, every
-# other byte to a space. Every Latin-1 character lowercases to one Latin-1
-# character of the same class, so splitting the translation on whitespace
-# gives the class's runs of the lowercased text.
-_LATIN1_TERM_BYTES = bytes(
-    ord(c.lower()) if _LATIN1_TOKEN_RE.fullmatch(c) else 0x20 for c in map(chr, range(256))
-)
+# A byte table over Latin-1: each byte of that class, which below 256 is
+# str.isalnum(), to its lowercase, every other byte to a space. Every Latin-1
+# character lowercases to one Latin-1 character of the same class, so
+# splitting the translation on whitespace gives the class's runs of the
+# lowercased text.
+_LATIN1_TERM_BYTES = bytes(ord(c.lower()) if c.isalnum() else 0x20 for c in map(chr, range(256)))
 
 
 class EmptyVectorError(ValueError):
@@ -129,18 +125,12 @@ def _tokens(text: str) -> list[str]:
 
     Latin-1 text, nearly all German text, is lowercased and split in one
     pass: its bytes go through :data:`_LATIN1_TERM_BYTES` and the result is
-    split on the spaces, with no regex scan. Other text is lowercased first
-    and tested again, as lowercasing maps some characters from outside
-    Latin-1 into it (KELVIN SIGN to ``k``); only text still outside Latin-1
-    is scanned with the Unicode class."""
+    split on the spaces, with no regex scan. Any other text is that
+    expression itself."""
     try:
         data = text.encode("latin-1")
     except UnicodeEncodeError:
-        text = text.lower()
-        try:
-            data = text.encode("latin-1")
-        except UnicodeEncodeError:
-            return _TOKEN_RE.findall(text)
+        return _TOKEN_RE.findall(text.lower())
     return data.translate(_LATIN1_TERM_BYTES).decode("latin-1").split()
 
 
@@ -153,19 +143,21 @@ class _TermIds(dict):
 
 @dataclass
 class TermRows:
-    """The bag-of-words rows of a document sequence as flat stdlib arrays,
-    which numpy reads in place, one row per document with terms, in input
-    order. ``ids`` and ``counts`` hold the rows one after another, each in
-    its own first-occurrence term order, with ids numbered by first sight;
-    ``lengths`` holds each row's number of terms, ``norms`` the Euclidean
-    norm of its counts and ``n_words`` its number of term occurrences."""
+    """The bag-of-words rows of a document sequence as flat numpy arrays,
+    one row per document with terms, in input order. ``ids`` and ``counts``
+    hold the rows one after another, each in its own first-occurrence term
+    order, with ids numbered by first sight over the documents the rows were
+    built from; ``lengths`` holds each row's number of terms, ``norms`` the
+    Euclidean norm of its counts and ``n_words`` its number of term
+    occurrences. The builder's arrays are views of the stdlib arrays it grew,
+    not copies."""
 
     doc_ids: list[str]
-    ids: array
-    counts: array
-    lengths: array
-    norms: array
-    n_words: array
+    ids: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+    norms: np.ndarray
+    n_words: np.ndarray
 
     @classmethod
     def _from_terms(cls, rows: Iterable[tuple[str, Iterable[str]]]) -> "TermRows":
@@ -175,7 +167,8 @@ class TermRows:
         time, once it holds :data:`ROW_CHUNK_TOKENS` tokens."""
         from array import array  # loaded by the first dedup, not at CLI start-up
 
-        out = cls([], array("q"), array("q"), array("q"), array("d"), array("q"))
+        doc_ids: list[str] = []
+        built = tuple(array(t) for t in "qqqdq")  # ids, counts, lengths, norms, n_words
         term_ids = _TermIds()
         id_of = term_ids.__getitem__
         chunk, words = array("q"), array("q")
@@ -183,18 +176,22 @@ class TermRows:
             before = len(chunk)
             chunk.extend(map(id_of, terms))
             if len(chunk) > before:
-                out.doc_ids.append(doc_id)
+                doc_ids.append(doc_id)
                 words.append(len(chunk) - before)
                 if len(chunk) >= ROW_CHUNK_TOKENS:
-                    out._count_chunk(chunk, words, len(term_ids))
+                    cls._count_chunk(chunk, words, len(term_ids), built)
                     chunk, words = array("q"), array("q")
         if words:
-            out._count_chunk(chunk, words, len(term_ids))
-        return out
+            cls._count_chunk(chunk, words, len(term_ids), built)
+        import numpy as np  # after tokenization, as the first chunk's count loads it
 
-    def _count_chunk(self, chunk: array, words: array, n_ids: int) -> None:
-        """Append the rows whose term ids ``chunk`` holds one row after
-        another, ``words[r]`` of them for row r, all below ``n_ids``.
+        return cls(doc_ids, *(np.frombuffer(a, a.typecode) for a in built))
+
+    @staticmethod
+    def _count_chunk(chunk: array, words: array, n_ids: int, out: tuple[array, ...]) -> None:
+        """Append to ``out``, the builder's five arrays, the rows whose term
+        ids ``chunk`` holds one row after another, ``words[r]`` of them for
+        row r, all below ``n_ids``.
 
         A stable sort of the (row, id) keys brings each term's occurrences
         in a row together, the first one ahead; each run's count goes to
@@ -216,14 +213,10 @@ class TermRows:
         counts = counts[first]
         lengths = np.bincount(rows[first], minlength=len(words))
         squares = np.add.reduceat(counts * counts, np.cumsum(lengths) - lengths)
-        for dst, src in (
-            (self.ids, ids[first]),
-            (self.counts, counts),
-            (self.lengths, lengths),
-            (self.norms, np.sqrt(squares)),
-        ):
+        *row_arrays, n_words = out
+        for dst, src in zip(row_arrays, (ids[first], counts, lengths, np.sqrt(squares))):
             dst.frombytes(src.data.cast("B"))  # frombytes takes byte buffers alone
-        self.n_words.extend(words)
+        n_words.extend(words)
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document]) -> "TermRows":
@@ -239,27 +232,42 @@ class TermRows:
             for v in vectors
         )
 
+    def take(self, keep: np.ndarray) -> "TermRows":
+        """The rows where the boolean mask ``keep`` is set, in order, with
+        their term ids as they are."""
+        entries = keep.repeat(self.lengths)
+        return TermRows(
+            list(compress(self.doc_ids, keep.tolist())),
+            self.ids[entries],
+            self.counts[entries],
+            self.lengths[keep],
+            self.norms[keep],
+            self.n_words[keep],
+        )
+
 
 def _cosine(rows: TermRows) -> Callable[[int, int], float]:
     """The exact cosine of two rows, bit-identical to
     :func:`cosine_similarity` of their vectors: the dot of integer counts
     is exact, here in Python ints and there in float64, whatever the order
     of its terms, and the product of the two norms commutes. A row's
-    ``{term id: count}`` map is built when the row is first verified."""
-    starts = list(accumulate(rows.lengths, initial=0))
+    ``{term id: count}`` map is built when the row is first verified, of
+    Python ints read through memoryviews of the rows."""
+    starts = [0, *rows.lengths.cumsum().tolist()]
+    ids, counts, norms = rows.ids.data, rows.counts.data, rows.norms.data
     maps: dict[int, dict[int, int]] = {}
 
     def counts_of(i: int) -> dict[int, int]:
         m = maps.get(i)
         if m is None:
             lo, hi = starts[i], starts[i + 1]
-            m = maps[i] = dict(zip(rows.ids[lo:hi], rows.counts[lo:hi]))
+            m = maps[i] = dict(zip(ids[lo:hi], counts[lo:hi]))
         return m
 
     def cosine(i: int, j: int) -> float:
         a, b = counts_of(i), counts_of(j)
         dot = sum([count * b[t] for t, count in a.items() if t in b])
-        return min(1.0, dot / (rows.norms[i] * rows.norms[j]))
+        return min(1.0, dot / (norms[i] * norms[j]))
 
     return cosine
 
@@ -364,13 +372,6 @@ class DedupReport:
         return obj
 
 
-def _participants(rows: TermRows, cfg: DedupConfig) -> list[int]:
-    """The row indices that take part in dedup, ascending; long documents
-    bypass it entirely when max_doc_words is set."""
-    limit = cfg.max_doc_words
-    return [i for i, words in enumerate(rows.n_words) if limit is None or words <= limit]
-
-
 class _UnionFind:
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
@@ -391,23 +392,23 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-# Both walks take ``candidates(i)``, the earlier participants of ``i`` worth
+# Both walks take ``candidates(i)``, the earlier rows of ``i`` worth
 # verifying, in ascending order, and return the clusters and the number of
 # pairs verified.
 _Candidates = Callable[[int], Iterable[int]]
 
 
 def _representative_walk(
-    rows: TermRows, cfg: DedupConfig, participants: list[int], candidates: _Candidates
+    rows: TermRows, cfg: DedupConfig, candidates: _Candidates
 ) -> tuple[list[Cluster], int]:
-    """Greedy scan in input order: a participant joins the first kept
-    candidate it exceeds the threshold with, and is kept if there is none."""
+    """Greedy scan in input order: a row joins the first kept candidate it
+    exceeds the threshold with, and is kept if there is none."""
     exceeds = cfg.exceeds()
     cosine = _cosine(rows)
     kept: set[int] = set()
     members: dict[int, list[int]] = {}
     pairs_examined = 0
-    for i in participants:
+    for i in range(len(rows.doc_ids)):
         for j in candidates(i):
             if j in kept:
                 pairs_examined += 1
@@ -422,16 +423,16 @@ def _representative_walk(
 
 
 def _literal_drop(
-    rows: TermRows, cfg: DedupConfig, participants: list[int], candidates: _Candidates
+    rows: TermRows, cfg: DedupConfig, candidates: _Candidates
 ) -> tuple[list[Cluster], int]:
-    """Remove every participant with at least one neighbor over the
-    threshold; clusters are connected components of the neighbor graph."""
+    """Remove every row with at least one neighbor over the threshold;
+    clusters are connected components of the neighbor graph."""
     exceeds = cfg.exceeds()
     cosine = _cosine(rows)
     uf = _UnionFind(len(rows.doc_ids))
     removed: set[int] = set()
     pairs_examined = 0
-    for i in participants:
+    for i in range(len(rows.doc_ids)):
         for j in candidates(i):
             pairs_examined += 1
             if exceeds(cosine(j, i)):
@@ -449,20 +450,23 @@ def _literal_drop(
 def _dedup(
     data: TermRows | Sequence[BowVector],
     cfg: DedupConfig,
-    screen: Callable[[TermRows, list[int]], _Candidates],
+    screen: Callable[[TermRows], _Candidates],
 ) -> DedupReport:
-    """Run the mode's walk on the candidates that ``screen`` returns for
-    the participants; the engines differ only in their screen. Both take
-    the rows of a source or its vectors."""
+    """Run the mode's walk on the candidates that ``screen`` returns; the
+    engines differ only in their screen. Both take the rows of a source or
+    its vectors. When ``max_doc_words`` is set, the rows with more words
+    are set aside first: the screen and the walk see only the rows that
+    take part, and the report counts the others as kept."""
     rows = data if isinstance(data, TermRows) else TermRows.from_vectors(data)
     seen: set[str] = set()
     for doc_id in rows.doc_ids:
         if doc_id in seen:
             raise ValueError(f"duplicate doc_id {doc_id!r} in dedup input")
         seen.add(doc_id)
-    participants = _participants(rows, cfg)
+    limit = cfg.max_doc_words
+    taking = rows if limit is None else rows.take(rows.n_words <= limit)
     walk = _representative_walk if cfg.mode == MODE_REPRESENTATIVE else _literal_drop
-    clusters, pairs_examined = walk(rows, cfg, participants, screen(rows, participants))
+    clusters, pairs_examined = walk(taking, cfg, screen(taking))
     removed = {m for c in clusters for m in c.members}
     return DedupReport(
         mode=cfg.mode,
@@ -481,45 +485,28 @@ def dedup_exact(
     vectors: TermRows | Sequence[BowVector], cfg: DedupConfig = DedupConfig()
 ) -> DedupReport:
     """Reference engine: every pair of participating documents is compared."""
-
-    def every_earlier(rows: TermRows, participants: list[int]) -> _Candidates:
-        return lambda i: islice(participants, bisect_left(participants, i))
-
-    return _dedup(vectors, cfg, every_earlier)
+    # every earlier row: candidates(i) is range(i)
+    return _dedup(vectors, cfg, lambda rows: range)
 
 
-def _score_matrices(
-    bow: TermRows, participants: list[int]
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """The unit-normalised participant rows, split by document frequency:
-    a dense block of the common terms (None when there are none) and the
-    entries of the rest, the rare entries, as three arrays: row, term id
-    and weight. The weights are computed in float64 and rounded once to
-    float32, the dtype of the dense block and of the rare weights.
+def _score_matrices(bow: TermRows) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    """The unit-normalised rows, split by document frequency: a dense block
+    of the common terms (None when there are none) and the entries of the
+    rest, the rare entries, as three arrays: row, term id and weight. The
+    weights are computed in float64 and rounded once to float32, the dtype
+    of the dense block and of the rare weights.
 
-    Term ids follow first-seen order over the participants. The rare
-    entries are in row order and every row keeps its own term order, so the
-    dense column order and the order in which the screen sums a pair's
-    shared rare terms depend only on the input."""
+    Term ids are the rows' own, numbered by first sight over the documents
+    the rows were built from, whether or not :meth:`TermRows.take` set some
+    aside since. The rare entries are in row order and every row keeps its
+    own term order, so the dense column order and the order in which the
+    screen sums a pair's shared rare terms depend only on the input."""
     import numpy as np  # the screen alone needs numpy; other commands start without it
 
-    n = len(participants)
-    ids = np.frombuffer(bow.ids, np.int64)
-    lengths = np.frombuffer(bow.lengths, np.int64)
-    weights = np.frombuffer(bow.counts, np.int64).astype(float)
-    inv_norms = 1.0 / np.frombuffer(bow.norms)
-    if n < len(lengths):
-        # max_doc_words bypassed some rows: keep the participants' entries
-        # and renumber their terms by first sight among the participants
-        part = np.zeros(len(lengths), dtype=bool)
-        part[participants] = True
-        entries = np.repeat(part, lengths)
-        lengths, inv_norms = lengths[part], inv_norms[part]
-        _, first, inverse = np.unique(ids[entries], return_index=True, return_inverse=True)
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(len(first))
-        ids, weights = rank[inverse], weights[entries]
-    weights *= np.repeat(inv_norms, lengths)
+    n = len(bow.doc_ids)
+    ids, lengths = bow.ids, bow.lengths
+    weights = bow.counts.astype(float)
+    weights *= np.repeat(1.0 / bow.norms, lengths)
     weights = weights.astype(np.float32)
     rows = np.repeat(np.arange(n, dtype=np.int32), lengths)
 
@@ -593,13 +580,9 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _near_threshold_pairs(
-    bow: TermRows,
-    participants: list[int],
-    cfg: DedupConfig,
-) -> dict[int, list[int]]:
-    """Map each participant to the earlier participants whose approximate
-    cosine reaches threshold - margin, in ascending order.
+def _near_threshold_pairs(bow: TermRows, cfg: DedupConfig) -> dict[int, list[int]]:
+    """Map each row to the earlier rows whose approximate cosine reaches
+    threshold - margin, in ascending order.
 
     Scores are float32, within half of :func:`_score_margin` of the exact
     cosine. They are computed in row blocks, each against the columns
@@ -614,10 +597,10 @@ def _near_threshold_pairs(
     and its contributions would grow with the square of the corpus."""
     import numpy as np
 
-    n = len(participants)
+    n = len(bow.doc_ids)
     if n == 0:
         return {}
-    dense, rows, ids, weights = _score_matrices(bow, participants)
+    dense, rows, ids, weights = _score_matrices(bow)
 
     # The inverted index. Postings are the rare entries grouped by term, in
     # row order within a term, as the sort is stable. Entry e meets the
@@ -638,8 +621,7 @@ def _near_threshold_pairs(
     offset = first - ahead[:-1]
     del postings, first, ids  # the index is built
 
-    part = np.asarray(participants)
-    longest = int(np.frombuffer(bow.lengths, np.int64)[part].max())
+    longest = int(bow.lengths.max())
     cutoff = cfg.threshold - _score_margin((0 if dense is None else dense.shape[1]) + longest)
     block = min(n, max(1, SCORE_BUFFER_FLOATS // n))
     buf = np.empty(block * n, np.float32)
@@ -675,7 +657,7 @@ def _near_threshold_pairs(
         for r in range(stop - start):
             scores[r, start + r :] = -np.inf
         for r in np.flatnonzero(scores.max(axis=1) >= cutoff).tolist():
-            out[participants[start + r]] = part[np.flatnonzero(scores[r] >= cutoff)].tolist()
+            out[start + r] = np.flatnonzero(scores[r] >= cutoff).tolist()
     return out
 
 
@@ -689,8 +671,8 @@ def dedup_indexed(
     order the exact engine would have used.
     """
 
-    def screened(rows: TermRows, participants: list[int]) -> _Candidates:
-        pairs = _near_threshold_pairs(rows, participants, cfg)
+    def screened(rows: TermRows) -> _Candidates:
+        pairs = _near_threshold_pairs(rows, cfg)
         return lambda i: pairs.get(i, ())
 
     return _dedup(vectors, cfg, screened)

@@ -63,8 +63,8 @@ class SearchSpace:
     warmup_high: int = 1000
 
     def __post_init__(self) -> None:
-        if not (0 < self.lr_low <= self.lr_high):
-            raise ValueError("learning rate range must satisfy 0 < low <= high")
+        if not (0 < self.lr_low <= self.lr_high < math.inf):
+            raise ValueError("learning rate range must satisfy 0 < low <= high, both finite")
         if not self.batch_sizes:
             raise ValueError("batch_sizes must be non-empty")
         if self.warmup_low > self.warmup_high or self.warmup_low < 0:

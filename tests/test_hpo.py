@@ -73,6 +73,14 @@ def test_search_space_validation():
         SearchSpace(warmup_low=100, warmup_high=10)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bound", ["lr_low", "lr_high"])
+def test_search_space_refuses_a_non_finite_learning_rate_bound(bound, bad):
+    # a bare Infinity or NaN in a space file parses to these
+    with pytest.raises(ValueError, match="both finite"):
+        SearchSpace(**{bound: bad})
+
+
 def test_search_space_from_obj():
     space = SearchSpace.from_obj(
         {"learning_rate": [1e-5, 1e-3], "batch_size": [4, 8], "warmup_steps": [5, 50]}

@@ -1589,6 +1589,26 @@ def test_cli_hpo_run_space_of_wrong_shape_is_a_data_error(tmp_path, capsys, spac
     assert not study_path.exists()
 
 
+def test_cli_hpo_run_infinite_learning_rate_bound_names_the_space_and_runs_no_trial(
+    tmp_path, capsys
+):
+    space_path = tmp_path / "space.json"
+    # Python's json module parses the bare Infinity token
+    space_path.write_text('{"learning_rate": [1e-05, Infinity]}', encoding="utf-8")
+    marker = tmp_path / "ran"
+    script = tmp_path / "obj.py"
+    script.write_text(f"open({str(marker)!r}, 'w').close()\nprint('final=1.0')\n")
+    study_path = tmp_path / "study.json"
+    code = cli.main(
+        ["hpo", "run", "--space", str(space_path), "--cmd", f"python3 {script}", "--trials", "2",
+         "--study", str(study_path)]
+    )
+    assert code == 2
+    assert f"error: {space_path}: learning rate range" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not study_path.exists()
+
+
 @pytest.mark.parametrize(
     "bad_row",
     ["p,5-100", "p,5-100,ops,2020-13-01", "p,5-100,icd10,2020-01-01", ",5-100,ops,2020-01-01"],

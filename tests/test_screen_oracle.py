@@ -27,7 +27,6 @@ from medcorpus.dedup import (
     DedupConfig,
     TermRows,
     _near_threshold_pairs,
-    _participants,
     vectorize,
 )
 from medcorpus.synth import pii_corpus, radiology_corpus
@@ -131,9 +130,12 @@ def assert_same_screen(
 ) -> dict[int, list[int]]:
     """Bracket the screen, the new one in blocks of ``block_rows`` rows,
     through its score buffer budget, or under the module's budget, between
-    the reference maps at half and twice the margin it used."""
+    the reference maps at half and twice the margin it used. The screen
+    runs on the rows that take part and its row indices are mapped back to
+    those of ``vectors``."""
     rows = TermRows.from_vectors(vectors)
-    participants = _participants(rows, cfg)
+    keep = rows.n_words <= (np.inf if cfg.max_doc_words is None else cfg.max_doc_words)
+    participants = np.flatnonzero(keep).tolist()
     budget = dedup.SCORE_BUFFER_FLOATS if block_rows is None else block_rows * len(participants)
     margins = []
 
@@ -145,7 +147,8 @@ def assert_same_screen(
         mock.patch.object(dedup, "SCORE_BUFFER_FLOATS", budget),
         mock.patch.object(dedup, "_score_margin", recorded),
     ):
-        got = _near_threshold_pairs(rows, participants, cfg)
+        taken = _near_threshold_pairs(rows.take(keep), cfg)
+    got = {participants[i]: [participants[j] for j in js] for i, js in taken.items()}
     if not participants:
         assert got == {}
         return got
@@ -228,14 +231,14 @@ def test_screen_matches_reference_on_small_blocks(count_dicts, block_rows, thres
 def rare_entry_rows(vectors: list[BowVector]) -> list[int]:
     """The row of each rare entry, in the screen's row order."""
     rows = TermRows.from_vectors(vectors)
-    return dedup._score_matrices(rows, list(range(len(vectors))))[1].tolist()
+    return dedup._score_matrices(rows)[1].tolist()
 
 
 def rare_contributions(vectors: list[BowVector]) -> list[int]:
     """Per row, the rare-term products the screen adds: for each of the
     row's rare terms, one per earlier row that holds the term."""
     bow = TermRows.from_vectors(vectors)
-    _, rows, ids, _ = dedup._score_matrices(bow, list(range(len(vectors))))
+    _, rows, ids, _ = dedup._score_matrices(bow)
     seen: Counter = Counter()
     per_row = [0] * len(vectors)
     for row, term in zip(rows.tolist(), ids.tolist()):
@@ -244,19 +247,23 @@ def rare_contributions(vectors: list[BowVector]) -> list[int]:
     return per_row
 
 
-def test_score_matrices_of_participants_equal_those_of_the_participants_alone():
-    # max_doc_words bypasses rows, some of which see terms first; the
-    # participants' terms are renumbered by first sight among them, which
-    # keeps the dense column order and the rare term ids
+def test_take_gives_the_rows_of_the_taken_vectors_alone_up_to_term_ids():
+    # max_doc_words sets rows aside, some of which see terms first; the
+    # taken rows keep their term ids, which relabelled by first sight are
+    # the ids of the taken vectors' own rows
     vectors = vectors_of(radiology_corpus(300, 0.19, seed=3).documents)
     rows = TermRows.from_vectors(vectors)
-    participants = _participants(rows, DedupConfig(max_doc_words=40))
-    assert 0 < len(participants) < len(vectors)
-    alone = TermRows.from_vectors([vectors[i] for i in participants])
-    got = dedup._score_matrices(rows, participants)
-    want = dedup._score_matrices(alone, list(range(len(participants))))
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+    keep = rows.n_words <= 40
+    assert 0 < keep.sum() < len(vectors)
+    got = rows.take(keep)
+    want = TermRows.from_vectors([v for v, k in zip(vectors, keep.tolist()) if k])
+    assert got.doc_ids == want.doc_ids
+    labels: dict[int, int] = {}
+    relabelled = [labels.setdefault(t, len(labels)) for t in got.ids.tolist()]
+    assert relabelled == want.ids.tolist() != got.ids.tolist()
+    for name in ("counts", "lengths", "norms", "n_words"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
 
 def test_screen_matches_reference_without_rare_entries():

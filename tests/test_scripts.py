@@ -61,7 +61,7 @@ def test_bench_quick_writes_the_record(tmp_path):
         "dedup": (
             "planted_rate",
             "dedup_s generate_s pairs_examined peak_rss_mib rate removed screen_margin"
-            " screen_verify_s tokenize_s",
+            " screen_traced_peak_mib screen_verify_s tokenize_s",
         ),
         "vocab": (
             "distinct_words docs words",
