@@ -2,17 +2,19 @@
 
 Spans carry byte offsets into the UTF-8 encoding of the original text and
 must fall on character boundaries. Detection matches on characters and
-converts only the match endpoints to byte offsets, once per scan. The
-scans skip to where a match can start instead of trying every position:
-the numeric date patterns begin with a digit and check what precedes it
-after that digit, and a text without two adjacent digits holds no date. A
-Latin-1 text without 0-9 holds no digit at all, since ``\\d`` matches no
-other Latin-1 character, so it is passed over without a regex scan. In
+converts only the match endpoints to byte offsets, once per scan, in one
+span builder. The date forms are one table: each row a pattern and the
+groups of its day and month, which one range check reads. The scans skip
+to where a match can start instead of trying every position: the numeric
+date patterns begin with a digit and check what precedes it after that
+digit, and a text without two adjacent digits holds no date. A Latin-1
+text without 0-9 holds no digit at all, since ``\\d`` matches no other
+Latin-1 character, so it is passed over without a regex scan. In
 case-sensitive mode the name scan begins with an entry's first character.
 In both modes it reads the entries only where the text begins with the
 first ``HEAD_CHARS`` characters of one of them, or with all of a shorter
-one. The re-scan of the redacted output runs the same full date and name
-detection on every document.
+one. One detection pass lists the detectors; the scan and the re-scan of
+the redacted output both run it, in full, on every document.
 
 Redaction splices replacement strings over the spans and leaves every byte
 outside them untouched, which makes the length accounting and the closure
@@ -25,7 +27,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace as _dc_replace
 from operator import itemgetter
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document, read_lines
 
@@ -74,10 +76,6 @@ class Gazetteer:
         return cls(entries, case_insensitive)
 
 
-class NameRecognizer(Protocol):
-    def detect(self, text: str) -> list[RedactionSpan]: ...
-
-
 def _byte_offsets(text: str, positions: Sequence[int]) -> list[int]:
     """UTF-8 byte offsets of the sorted character ``positions`` in ``text``."""
     if text.isascii():
@@ -89,6 +87,18 @@ def _byte_offsets(text: str, positions: Sequence[int]) -> list[int]:
         offsets.append(total)
         prev = pos
     return offsets
+
+
+def _spans(
+    text: str, ranges: Sequence[tuple[int, int]], kind: str, wildcard: str
+) -> list[RedactionSpan]:
+    """Spans of the character ``ranges`` of ``text``, in their order; each
+    distinct endpoint is converted to a byte offset once."""
+    if not ranges:
+        return []
+    points = sorted({p for r in ranges for p in r})
+    byte_at = dict(zip(points, _byte_offsets(text, points)))
+    return [RedactionSpan(byte_at[s], byte_at[e], kind, text[s:e], wildcard) for s, e in ranges]
 
 
 def _drop_contained(spans: list[RedactionSpan]) -> list[RedactionSpan]:
@@ -219,7 +229,7 @@ class GazetteerRecognizer:
     def detect(self, text: str) -> list[RedactionSpan]:
         keys = self._key(text)
         heads, head_lengths = self._heads, self._head_lengths
-        bounds: list[int] = []
+        ranges: list[tuple[int, int]] = []
         resume = 0
         for m in self._starts.finditer(text):
             start = m.start()
@@ -232,19 +242,14 @@ class GazetteerRecognizer:
                 continue  # no entry starts here
             end = self._match_end(text, keys, start)
             if end is not None:
-                bounds += (start, end)
+                ranges.append((start, end))
                 resume = end
-        offs = _byte_offsets(text, bounds)
-        return [
-            RedactionSpan(
-                offs[k], offs[k + 1], KIND_NAME, text[bounds[k] : bounds[k + 1]], self.wildcard
-            )
-            for k in range(0, len(bounds), 2)
-        ]
+        return _spans(text, ranges, KIND_NAME, self.wildcard)
 
 
-def detect_names(text: str, recognizer: NameRecognizer) -> list[RedactionSpan]:
-    return sorted(recognizer.detect(text), key=lambda s: (s.start, s.end))
+def detect_names(text: str, recognizer: GazetteerRecognizer) -> list[RedactionSpan]:
+    """The recognizer's spans, ascending and disjoint."""
+    return recognizer.detect(text)
 
 
 _MONTHS = (
@@ -256,10 +261,6 @@ _MONTHS = (
 # digits; the lookbehind that a match start needs follows that first digit,
 # and ``(?:(?<=[0-3])\d)?`` is ``[0-3]?\d`` read from its first digit.
 _DAY = r"(\d(?<![\d.]\d)(?:(?<=[0-3])\d)?)"
-_D_M_YYYY = re.compile(_DAY + r"\.([01]?\d)\.(\d{4})(?!\d)")
-_DD_MM_YY = re.compile(r"(\d(?<![\d.]\d)\d)\.(\d{2})\.(\d{2})(?!\d)")
-_ISO = re.compile(r"(\d(?<!\d\d)\d{3})-(\d{2})-(\d{2})(?!\d)")
-_D_MONTH_YYYY = re.compile(_DAY + r"\.\s*(%s)\s+(\d{4})(?!\d)" % _MONTHS, re.IGNORECASE)
 # IGNORECASE turns off sre's skip to a first character when that character is
 # cased, so "Monat YYYY" opens with a case-sensitive class of every character
 # that IGNORECASE matches to a month's initial (U+017F is the long s), checks
@@ -274,13 +275,20 @@ def _month_tails() -> str:
     return "|".join(f"(?<={i})(?:{'|'.join(rest)})" for i, rest in tails.items())
 
 
-_MONTH_YYYY = re.compile(
-    r"((?-i:[%s])(?<=\b.)(?:%s))\s+(\d{4})(?!\d)" % (_MONTH_INITIALS, _month_tails()),
-    re.IGNORECASE,
+# a month name, read from its initial
+_MONTH_WORD = r"((?-i:[%s])(?<=\b.)(?:%s))" % (_MONTH_INITIALS, _month_tails())
+# One row per date form (D.M.YYYY, DD.MM.YY, YYYY-MM-DD, D. Monat YYYY and
+# Monat YYYY): its pattern, the group of its day and the group of its month,
+# 0 where the form has none. A day must read 1-31 and a month 1-12.
+_DATE_FORMS = (
+    (re.compile(_DAY + r"\.([01]?\d)\.(\d{4})(?!\d)"), 1, 2),
+    (re.compile(r"(\d(?<![\d.]\d)\d)\.(\d{2})\.(\d{2})(?!\d)"), 1, 2),
+    (re.compile(r"(\d(?<!\d\d)\d{3})-(\d{2})-(\d{2})(?!\d)"), 3, 2),
+    (re.compile(_DAY + r"\.\s*(%s)\s+(\d{4})(?!\d)" % _MONTHS, re.IGNORECASE), 1, 0),
+    (re.compile(_MONTH_WORD + r"\s+(\d{4})(?!\d)", re.IGNORECASE), 0, 0),
 )
-# Every date holds two adjacent digits, and "Monat YYYY" four.
+# Every date holds two adjacent digits.
 _DIGIT_PAIR = re.compile(r"\d\d")
-_YEAR = re.compile(r"\d{4}")
 
 
 def _has_no_digit(text: str) -> bool:
@@ -298,14 +306,6 @@ def _has_no_digit(text: str) -> bool:
     return True
 
 
-def _valid_day(s: str) -> bool:
-    return 1 <= int(s) <= 31
-
-
-def _valid_month(s: str) -> bool:
-    return 1 <= int(s) <= 12
-
-
 def detect_dates(text: str, wildcard: str = DATE_WILDCARD) -> list[RedactionSpan]:
     """Find German-format dates.
 
@@ -315,31 +315,14 @@ def detect_dates(text: str, wildcard: str = DATE_WILDCARD) -> list[RedactionSpan
     """
     if _has_no_digit(text) or _DIGIT_PAIR.search(text) is None:
         return []
-    found: list[re.Match] = []
-    add = found.append
-
-    for m in _D_M_YYYY.finditer(text):
-        if _valid_day(m.group(1)) and _valid_month(m.group(2)):
-            add(m)
-    for m in _DD_MM_YY.finditer(text):
-        if _valid_day(m.group(1)) and _valid_month(m.group(2)):
-            add(m)
-    for m in _ISO.finditer(text):
-        if _valid_month(m.group(2)) and _valid_day(m.group(3)):
-            add(m)
-    for m in _D_MONTH_YYYY.finditer(text):
-        if _valid_day(m.group(1)):
-            add(m)
-    if _YEAR.search(text) is not None:
-        found.extend(_MONTH_YYYY.finditer(text))
-    points = sorted({p for m in found for p in m.span()})
-    byte_at = dict(zip(points, _byte_offsets(text, points)))
-    raw = [
-        RedactionSpan(byte_at[m.start()], byte_at[m.end()], KIND_DATE, m.group(0), wildcard)
-        for m in found
+    ranges = [
+        m.span()
+        for pattern, day, month in _DATE_FORMS
+        for m in pattern.finditer(text)
+        if (not day or 1 <= int(m[day]) <= 31) and (not month or 1 <= int(m[month]) <= 12)
     ]
     # maximal spans, so their starts, and with them their ends, strictly increase
-    return _drop_contained(raw)
+    return _drop_contained(_spans(text, ranges, KIND_DATE, wildcard))
 
 
 def _merge_spans(spans: Sequence[RedactionSpan]) -> list[RedactionSpan]:
@@ -396,11 +379,18 @@ def redact(text: str, spans: Sequence[RedactionSpan]) -> tuple[str, list[Redacti
     return b"".join(parts).decode("utf-8"), applied
 
 
-def _residual_scan(text: str, recognizer: NameRecognizer | None) -> list[RedactionSpan]:
-    residuals = list(detect_dates(text))
-    if recognizer is not None:
-        residuals.extend(detect_names(text, recognizer))
-    return sorted(residuals, key=lambda s: (s.start, s.end))
+def _detect(
+    text: str, recognizer: GazetteerRecognizer | None, date_wildcard: str = DATE_WILDCARD
+) -> tuple[list[RedactionSpan], list[RedactionSpan]]:
+    """The date spans and the name spans of ``text``: every detector, run
+    once. Without a recognizer there are no name spans."""
+    dates = detect_dates(text, date_wildcard)
+    return dates, [] if recognizer is None else detect_names(text, recognizer)
+
+
+def _residual_scan(text: str, recognizer: GazetteerRecognizer | None) -> list[RedactionSpan]:
+    dates, names = _detect(text, recognizer)
+    return sorted(dates + names, key=lambda s: (s.start, s.end))
 
 
 def verify(redacted: str, gazetteer: Gazetteer | None) -> list[RedactionSpan]:
@@ -485,16 +475,10 @@ def anonymize_corpus(
     out_docs: list[Document] = []
     report = AnonymizationReport()
     for doc in docs:
-        spans: list[RedactionSpan] = list(detect_dates(doc.text, date_wildcard))
-        n_dates = len(spans)
-        n_names = 0
-        if recognizer is not None:
-            name_spans = detect_names(doc.text, recognizer)
-            n_names = len(name_spans)
-            spans.extend(name_spans)
-        new_text, _ = redact(doc.text, spans)
+        dates, names = _detect(doc.text, recognizer, date_wildcard)
+        new_text, _ = redact(doc.text, dates + names)
         out_docs.append(doc if new_text is doc.text else _dc_replace(doc, text=new_text))
-        report.per_document.append(DocumentRedaction(doc.id, n_names, n_dates))
+        report.per_document.append(DocumentRedaction(doc.id, len(names), len(dates)))
         residual = _residual_scan(new_text, recognizer)
         if residual:
             report.residuals[doc.id] = residual

@@ -97,7 +97,11 @@ def _document_from_obj(obj: object, source: str | None, line_no: int) -> Documen
     meta = obj.get("meta") or {}
     if not isinstance(meta, dict):
         raise ValueError("'meta' must be an object")
-    metadata = {str(k): str(v) for k, v in meta.items()}
+    # a value that is not a string is kept as its JSON text
+    metadata = {
+        str(k): v if isinstance(v, str) else json.dumps(v, ensure_ascii=False)
+        for k, v in meta.items()
+    }
     return Document(doc_id, src, text, doc_date, patient_ref, metadata)
 
 

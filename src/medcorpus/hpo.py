@@ -65,8 +65,8 @@ class SearchSpace:
     def __post_init__(self) -> None:
         if not (0 < self.lr_low <= self.lr_high < math.inf):
             raise ValueError("learning rate range must satisfy 0 < low <= high, both finite")
-        if not self.batch_sizes:
-            raise ValueError("batch_sizes must be non-empty")
+        if not self.batch_sizes or min(self.batch_sizes) < 1:
+            raise ValueError("batch_sizes must be non-empty, each at least 1")
         if self.warmup_low > self.warmup_high or self.warmup_low < 0:
             raise ValueError("warmup range must satisfy 0 <= low <= high")
 

@@ -12,6 +12,7 @@ nowhere. Reports carry percent-scaled values, rendered with two decimals.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -188,8 +189,11 @@ def multilabel_report(
 ) -> MetricReport:
     """Per-class AUROC plus thresholded precision/recall/F1.
 
-    A score at or above the threshold counts as a predicted positive.
+    A score at or above the threshold counts as a predicted positive. A
+    threshold that is not a finite number is a ``ValueError``.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be a finite number, not {threshold!r}")
     results = {}
     for cls in predictions.classes:
         scores = predictions.scores[cls]

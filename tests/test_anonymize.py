@@ -63,6 +63,17 @@ def test_day_month_range_validation():
     assert detect_dates("Wert 32.01.2021 gemessen") == []
     assert detect_dates("Wert 01.13.2021 gemessen") == []
     assert surfaces(detect_dates("Am 31.12.2021 gemessen")) == ["31.12.2021"]
+    # DD.MM.YY
+    assert detect_dates("Wert 32.12.21 gemessen") == []
+    assert detect_dates("Wert 31.13.21 gemessen") == []
+    assert surfaces(detect_dates("Am 31.12.21 gemessen")) == ["31.12.21"]
+    # ISO: month, then day
+    assert detect_dates("Am 2021-13-01 gemessen") == []
+    assert detect_dates("Am 2021-01-32 gemessen") == []
+    assert surfaces(detect_dates("Am 2021-12-31 gemessen")) == ["2021-12-31"]
+    # D. Monat YYYY: a 32nd day leaves only the "Monat YYYY" inside it
+    assert surfaces(detect_dates("Am 32. März 2021 gemessen")) == ["März 2021"]
+    assert surfaces(detect_dates("Am 31. März 2021 gemessen")) == ["31. März 2021"]
 
 
 def test_digit_context_guards():

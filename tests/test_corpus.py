@@ -147,12 +147,20 @@ def test_load_documents_roundtrip(tmp_path):
         {"id": "a", "source": "ehr", "text": "Text eins.", "date": "2021-03-04"},
         {"source": "ehr", "text": "Ohne id."},
         {"id": "c", "source": "wiki", "text": "Drei.", "meta": {"k": 1}},
+        {
+            "id": "d", "source": "wiki", "text": "Vier.",
+            "meta": {"n": None, "t": True, "f": 1.5, "o": {"x": [1], "ü": "ä"}},
+        },
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n\n", encoding="utf-8")
     result = load_documents(path)
-    assert [d.id for d in result.documents] == ["a", "ehr:2", "c"]
+    assert [d.id for d in result.documents] == ["a", "ehr:2", "c", "d"]
     assert result.documents[0].doc_date == datetime.date(2021, 3, 4)
     assert result.documents[2].metadata == {"k": "1"}  # meta values stringified
+    # as JSON text, not as Python's str()
+    assert result.documents[3].metadata == {
+        "n": "null", "t": "true", "f": "1.5", "o": '{"x": [1], "ü": "ä"}'
+    }
     assert result.errors == []
 
     out = tmp_path / "out.jsonl"

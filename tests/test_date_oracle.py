@@ -4,8 +4,8 @@ them at every position.
 
 The reference below keeps those five patterns and the body of
 ``detect_dates`` unchanged, so a difference in the digit-led patterns or in
-the pre-checks that skip texts without a digit, a digit pair or a
-four-digit run shows up as a span difference.
+the pre-checks that skip texts without a digit or a digit pair shows up as
+a span difference.
 """
 
 import re

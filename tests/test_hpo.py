@@ -81,6 +81,14 @@ def test_search_space_refuses_a_non_finite_learning_rate_bound(bound, bad):
         SearchSpace(**{bound: bad})
 
 
+@pytest.mark.parametrize("sizes", [(0,), (8, -8), (0, -8)])
+def test_search_space_refuses_a_batch_size_below_one(sizes):
+    with pytest.raises(ValueError, match="each at least 1"):
+        SearchSpace(batch_sizes=sizes)
+    with pytest.raises(ValueError, match="each at least 1"):
+        SearchSpace.from_obj({"batch_size": list(sizes)})
+
+
 def test_search_space_from_obj():
     space = SearchSpace.from_obj(
         {"learning_rate": [1e-5, 1e-3], "batch_size": [4, 8], "warmup_steps": [5, 50]}

@@ -210,6 +210,14 @@ def test_multilabel_threshold_inclusive():
     assert report.per_class["A"].recall == 100.0
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_multilabel_report_refuses_a_non_finite_threshold(threshold):
+    # every score compares false against NaN, so each prediction was negative
+    preds = ScoredPredictions(classes=["A"], scores={"A": [0.5]}, truths={"A": [True]})
+    with pytest.raises(ValueError, match="threshold must be a finite number"):
+        multilabel_report(preds, threshold=threshold)
+
+
 # --- NER token report -------------------------------------------------------
 
 

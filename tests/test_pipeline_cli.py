@@ -1543,6 +1543,31 @@ def test_cli_eval_clf_nan_score_is_a_data_error(tmp_path, capsys):
     assert "AUROC" not in captured.out
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_cli_eval_clf_non_finite_threshold_exits_2_and_writes_no_report(
+    tmp_path, capsys, threshold
+):
+    gold_path = tmp_path / "gold.jsonl"
+    write_examples_jsonl(
+        gold_path, [LabeledExample("d1", "t", {"A"}), LabeledExample("d2", "t", {"B"})]
+    )
+    pred_path = tmp_path / "pred.jsonl"
+    write_jsonl(
+        pred_path,
+        [{"id": "d1", "scores": {"A": 0.9, "B": 0.1}}, {"id": "d2", "scores": {"A": 0.2, "B": 0.8}}],
+    )
+    report = tmp_path / "report.json"
+    code = cli.main(
+        ["eval", "clf", "--gold", str(gold_path), "--pred", str(pred_path),
+         "--report", str(report), f"--threshold={threshold}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: threshold must be a finite number" in captured.err
+    assert "AUROC" not in captured.out
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("bad_row", BAD_PREDICTION_ROWS)
 def test_cli_eval_clf_prediction_row_of_wrong_shape_names_file_and_line(
     tmp_path, capsys, bad_row
@@ -1605,6 +1630,25 @@ def test_cli_hpo_run_infinite_learning_rate_bound_names_the_space_and_runs_no_tr
     )
     assert code == 2
     assert f"error: {space_path}: learning rate range" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not study_path.exists()
+
+
+def test_cli_hpo_run_non_positive_batch_size_names_the_space_and_runs_no_trial(
+    tmp_path, capsys
+):
+    space_path = tmp_path / "space.json"
+    space_path.write_text('{"batch_size": [0, -8]}', encoding="utf-8")
+    marker = tmp_path / "ran"
+    script = tmp_path / "obj.py"
+    script.write_text(f"open({str(marker)!r}, 'w').close()\nprint('final=1.0')\n")
+    study_path = tmp_path / "study.json"
+    code = cli.main(
+        ["hpo", "run", "--space", str(space_path), "--cmd", f"python3 {script}", "--trials", "2",
+         "--study", str(study_path)]
+    )
+    assert code == 2
+    assert f"error: {space_path}: batch_sizes must be" in capsys.readouterr().err
     assert not marker.exists()
     assert not study_path.exists()
 
