@@ -11,7 +11,8 @@
   the first import of numpy, which the two steps do not pay again. Last,
   ``screen_traced_peak_mib``: the ``tracemalloc`` peak of one more, untimed
   ``dedup_indexed`` run on the same rows, the live memory of the screen and
-  its verification, which peak RSS mixes with the allocator's layout;
+  its verification, which peak RSS mixes with the allocator's layout, and
+  ``rows_mib``, the bytes of the source's ``TermRows`` arrays;
 - vocab at sizes 1k and 3k on 2k radiology reports: the tokens reached,
   word counting, merging (the build minus counting) and ``build_vocab``;
   then, from an empty memo each, on 2k held-out reports: segmenting their
@@ -162,6 +163,7 @@ def dedup_run(n: int) -> dict:
     dedup_indexed(rows, DedupConfig())
     screen_traced_peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
+    arrays = (rows.ids, rows.counts, rows.lengths, rows.norms, rows.n_words)
     (report,) = reports.values()
     return {
         "generate_s": generate_s,
@@ -174,6 +176,7 @@ def dedup_run(n: int) -> dict:
         "screen_margin": margins[0],
         "peak_rss_mib": peak_rss_mib,
         "screen_traced_peak_mib": screen_traced_peak_mib,
+        "rows_mib": sum(a.nbytes for a in arrays) / 2**20,
     }
 
 

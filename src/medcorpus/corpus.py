@@ -94,8 +94,10 @@ def _document_from_obj(obj: object, source: str | None, line_no: int) -> Documen
     patient_ref = obj.get("patient_ref")
     if patient_ref is not None and not isinstance(patient_ref, str):
         raise ValueError("'patient_ref' must be a string")
-    meta = obj.get("meta") or {}
-    if not isinstance(meta, dict):
+    meta = obj.get("meta")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
         raise ValueError("'meta' must be an object")
     # a value that is not a string is kept as its JSON text
     metadata = {

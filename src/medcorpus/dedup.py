@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, compress, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -64,6 +64,11 @@ SCORE_BUFFER_FLOATS = 1 << 20
 # but left more freed memory in the allocator, which raised the process's
 # peak in the screen.
 ROW_CHUNK_TOKENS = 1 << 13
+
+# The largest value of a 32-bit signed integer. The rows' integer arrays are
+# 32-bit, and so are the screen's index arrays whose values fit; see
+# _int_dtype.
+INT32_MAX = 2**31 - 1
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 # A byte table over Latin-1: each byte of that class, which below 256 is
@@ -134,6 +139,20 @@ def _tokens(text: str) -> list[str]:
     return data.translate(_LATIN1_TERM_BYTES).decode("latin-1").split()
 
 
+def _int_dtype(top: int, name: str | None = None) -> type:
+    """The dtype of an integer array whose values lie within ``top`` of
+    zero: int32 when ``top`` is at most :data:`INT32_MAX`, else int64. An
+    array that is always 32-bit passes its ``name``, and gets a ValueError
+    that names it instead of int64, so no value wraps."""
+    import numpy as np
+
+    if top <= INT32_MAX:
+        return np.int32
+    if name is None:
+        return np.int64
+    raise ValueError(f"{name} reaches {top:,}, beyond the 32-bit limit of {INT32_MAX:,}")
+
+
 class _TermIds(dict):
     # a term seen for the first time gets the next id
     def __missing__(self, term: str) -> int:
@@ -150,7 +169,13 @@ class TermRows:
     built from; ``lengths`` holds each row's number of terms, ``norms`` the
     Euclidean norm of its counts and ``n_words`` its number of term
     occurrences. The builder's arrays are views of the stdlib arrays it grew,
-    not copies."""
+    not copies.
+
+    ``norms`` is float64; the other four are int32. A term id is below the
+    number of distinct terms, and a count and a row's length are at most its
+    document's word count, so they all fit while a source has at most
+    :data:`INT32_MAX` distinct terms and no document more words than that;
+    beyond either the builder raises a ValueError."""
 
     doc_ids: list[str]
     ids: np.ndarray
@@ -168,7 +193,7 @@ class TermRows:
         from array import array  # loaded by the first dedup, not at CLI start-up
 
         doc_ids: list[str] = []
-        built = tuple(array(t) for t in "qqqdq")  # ids, counts, lengths, norms, n_words
+        built = tuple(array(t) for t in "iiidi")  # ids, counts, lengths, norms, n_words
         term_ids = _TermIds()
         id_of = term_ids.__getitem__
         chunk, words = array("q"), array("q")
@@ -191,7 +216,8 @@ class TermRows:
     def _count_chunk(chunk: array, words: array, n_ids: int, out: tuple[array, ...]) -> None:
         """Append to ``out``, the builder's five arrays, the rows whose term
         ids ``chunk`` holds one row after another, ``words[r]`` of them for
-        row r, all below ``n_ids``.
+        row r, all below ``n_ids``. The counting is 64-bit; the integer rows
+        are narrowed to 32 bits once their largest value is checked.
 
         A stable sort of the (row, id) keys brings each term's occurrences
         in a row together, the first one ahead; each run's count goes to
@@ -200,8 +226,8 @@ class TermRows:
         from exact integer sums of squared counts, as :func:`_norm`'s do."""
         import numpy as np  # as the screen does: other commands start without it
 
-        ids = np.frombuffer(chunk, np.int64)
-        rows = np.repeat(np.arange(len(words)), np.frombuffer(words, np.int64))
+        ids, n_words = np.frombuffer(chunk, np.int64), np.frombuffer(words, np.int64)
+        rows = np.repeat(np.arange(len(words)), n_words)
         keys = rows * n_ids + ids
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -213,10 +239,11 @@ class TermRows:
         counts = counts[first]
         lengths = np.bincount(rows[first], minlength=len(words))
         squares = np.add.reduceat(counts * counts, np.cumsum(lengths) - lengths)
-        *row_arrays, n_words = out
-        for dst, src in zip(row_arrays, (ids[first], counts, lengths, np.sqrt(squares))):
-            dst.frombytes(src.data.cast("B"))  # frombytes takes byte buffers alone
-        n_words.extend(words)
+        # ids are below n_ids; counts and lengths at most a row's word count
+        _int_dtype(max(n_ids - 1, int(n_words.max())), "a term id or a document's word count")
+        for dst, src in zip(out, (ids[first], counts, lengths, np.sqrt(squares), n_words)):
+            # frombytes takes byte buffers alone
+            dst.frombytes(src.astype(dst.typecode, copy=False).data.cast("B"))
 
     @classmethod
     def from_documents(cls, docs: Iterable[Document]) -> "TermRows":
@@ -447,6 +474,14 @@ def _literal_drop(
     return clusters, pairs_examined
 
 
+def _check_unique(doc_ids: Iterable[str]) -> None:
+    seen: set[str] = set()
+    for doc_id in doc_ids:
+        if doc_id in seen:
+            raise ValueError(f"duplicate doc_id {doc_id!r} in dedup input")
+        seen.add(doc_id)
+
+
 def _dedup(
     data: TermRows | Sequence[BowVector],
     cfg: DedupConfig,
@@ -458,11 +493,7 @@ def _dedup(
     are set aside first: the screen and the walk see only the rows that
     take part, and the report counts the others as kept."""
     rows = data if isinstance(data, TermRows) else TermRows.from_vectors(data)
-    seen: set[str] = set()
-    for doc_id in rows.doc_ids:
-        if doc_id in seen:
-            raise ValueError(f"duplicate doc_id {doc_id!r} in dedup input")
-        seen.add(doc_id)
+    _check_unique(rows.doc_ids)
     limit = cfg.max_doc_words
     taking = rows if limit is None else rows.take(rows.n_words <= limit)
     walk = _representative_walk if cfg.mode == MODE_REPRESENTATIVE else _literal_drop
@@ -494,7 +525,8 @@ def _score_matrices(bow: TermRows) -> tuple[np.ndarray | None, np.ndarray, np.nd
     of the common terms (None when there are none) and the entries of the
     rest, the rare entries, as three arrays: row, term id and weight. The
     weights are computed in float64 and rounded once to float32, the dtype
-    of the dense block and of the rare weights.
+    of the dense block and of the rare weights. Rows are int32 while there
+    are at most :data:`INT32_MAX` of them, and term ids are the rows' int32.
 
     Term ids are the rows' own, numbered by first sight over the documents
     the rows were built from, whether or not :meth:`TermRows.take` set some
@@ -508,7 +540,8 @@ def _score_matrices(bow: TermRows) -> tuple[np.ndarray | None, np.ndarray, np.nd
     weights = bow.counts.astype(float)
     weights *= np.repeat(1.0 / bow.norms, lengths)
     weights = weights.astype(np.float32)
-    rows = np.repeat(np.arange(n, dtype=np.int32), lengths)
+    # the screen searches these for its blocks' ends, up to n
+    rows = np.repeat(np.arange(n, dtype=_int_dtype(n)), lengths)
 
     df = np.bincount(ids)
     dense_cols = np.nonzero(df >= max(64, n // 64))[0]
@@ -594,7 +627,19 @@ def _near_threshold_pairs(bow: TermRows, cfg: DedupConfig) -> dict[int, list[int
     score, in the row's term order, before thresholding. The split drops
     nothing, so every pair is screened on its full approximate score;
     without it a boilerplate term's postings would hold nearly every row,
-    and its contributions would grow with the square of the corpus."""
+    and its contributions would grow with the square of the corpus.
+
+    The index is 32-bit where its values fit, as :func:`_int_dtype`
+    chooses: ``first``, ``earlier`` and the postings positions hold entry
+    positions, below the E rare entries; ``ahead`` holds contribution
+    totals up to C, the pairs of postings that share a term, and the
+    searches add up to n rows to them, so it is int32 while C + n fits;
+    ``offset``, their difference, lies within max(E, C) of zero. Past
+    those bounds each array is int64. The arrays that index and
+    ``np.add.at`` take inside a run of contributions stay as they were:
+    the short per-entry slice of ``offset`` is cast to intp before it is
+    repeated, since a 32-bit per-contribution position array made the
+    screen slower."""
     import numpy as np
 
     n = len(bow.doc_ids)
@@ -605,19 +650,20 @@ def _near_threshold_pairs(bow: TermRows, cfg: DedupConfig) -> dict[int, list[int
     # The inverted index. Postings are the rare entries grouped by term, in
     # row order within a term, as the sort is stable. Entry e meets the
     # earlier[e] postings of its term before its own, from first[e] on:
-    # the earlier rows that hold the term. Row and entry indices fit in 32
-    # bits; only sums of contributions need 64.
+    # the earlier rows that hold the term.
     postings = _stable_order(ids)
     post_rows, post_weights = rows[postings], weights[postings]
     df = np.bincount(ids)
-    first = (np.cumsum(df) - df)[ids]
-    earlier = np.empty(len(postings), dtype=np.int32)
-    earlier[postings] = np.arange(len(postings))
+    entry = _int_dtype(len(ids))
+    first = (np.cumsum(df) - df).astype(entry)[ids]
+    earlier = np.empty(len(postings), dtype=entry)
+    earlier[postings] = np.arange(len(postings), dtype=entry)
     earlier -= first
     # the contributions of the entries before each entry, and where each
     # entry's postings start less that count
-    ahead = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(earlier, out=ahead[1:])
+    contributions = int((df * (df - 1) // 2).sum())
+    ahead = np.zeros(len(ids) + 1, dtype=_int_dtype(contributions + n))
+    np.cumsum(earlier, dtype=ahead.dtype, out=ahead[1:])
     offset = first - ahead[:-1]
     del postings, first, ids  # the index is built
 
@@ -644,7 +690,7 @@ def _near_threshold_pairs(bow: TermRows, cfg: DedupConfig) -> dict[int, list[int
         while lo < hi:
             end = min(hi, int(np.searchsorted(ahead, ahead[lo] + stop, "right")) - 1)
             take = earlier[lo:end]
-            post = np.repeat(offset[lo:end], take)
+            post = np.repeat(offset[lo:end].astype(np.intp), take)
             post += np.arange(ahead[lo], ahead[end])
             at = np.repeat((rows[lo:end] - start) * stop, take)
             at += post_rows[post]
@@ -685,17 +731,24 @@ def dedup_documents(
 
     Each source's documents go through :func:`dedup_indexed` on their own,
     so documents of different sources never remove each other. Documents
-    without analyzable terms cannot be compared and are kept. Returns the
-    kept documents in input order and one report per source, in sorted
-    source order.
+    without analyzable terms cannot be compared and are kept; their
+    source's report counts them as kept. Returns the kept documents in
+    input order and one report per source, in sorted source order.
     """
     groups: dict[str, list[Document]] = {}
     for doc in docs:
         groups.setdefault(doc.source, []).append(doc)
     removed: set[tuple[str, str]] = set()
     reports: dict[str, DedupReport] = {}
-    for source in sorted(groups):
+    for source, group in sorted(groups.items()):
+        # documents without terms get no row, so the rows' check misses them
+        _check_unique(doc.id for doc in group)
         # tokenize one source at a time, so only its rows are held
-        reports[source] = dedup_indexed(TermRows.from_documents(groups[source]), cfg)
-        removed.update((source, doc_id) for doc_id in reports[source].removed_ids())
+        report = dedup_indexed(TermRows.from_documents(group), cfg)
+        gone = report.removed_ids()
+        kept_ids = [doc.id for doc in group if doc.id not in gone]
+        reports[source] = replace(
+            report, n_input=len(group), n_kept=len(kept_ids), kept_ids=kept_ids
+        )
+        removed.update((source, doc_id) for doc_id in gone)
     return [d for d in docs if (d.source, d.id) not in removed], reports

@@ -381,6 +381,28 @@ def test_load_documents_records_errors(tmp_path):
     assert sorted(e.line_no for e in result.errors) == [2, 3, 4, 5]
 
 
+# every non-object meta is a load error, falsy ones too; absent or null is none
+META_ROWS = [
+    {"id": "absent", "source": "ehr", "text": "t"},
+    {"id": "null", "source": "ehr", "text": "t", "meta": None},
+    {"id": "empty", "source": "ehr", "text": "t", "meta": {}},
+    *({"id": f"bad{i}", "source": "ehr", "text": "t", "meta": v}
+      for i, v in enumerate([[], 0, "", False, 0.0, [1], 1, "x", True])),
+]
+
+
+def test_load_documents_meta_that_is_not_an_object_is_a_load_error(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in META_ROWS), encoding="utf-8")
+    result = load_documents(path)
+    assert [(d.id, d.metadata) for d in result.documents] == [
+        ("absent", {}), ("null", {}), ("empty", {})
+    ]
+    assert [(e.line_no, e.message) for e in result.errors] == [
+        (line, "'meta' must be an object") for line in range(4, 13)
+    ]
+
+
 def test_load_documents_source_override(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps({"text": "nur text"}) + "\n", encoding="utf-8")

@@ -429,7 +429,15 @@ def per_source(docs: list[Document], cfg: DedupConfig, engine):
     groups: dict[str, list[Document]] = {}
     for d in docs:
         groups.setdefault(d.source, []).append(d)
-    reports = {s: engine(vectors_with_terms(groups[s]), cfg) for s in sorted(groups)}
+    reports = {}
+    for s in sorted(groups):
+        report = engine(vectors_with_terms(groups[s]), cfg)
+        gone = report.removed_ids()
+        # the documents without terms count as kept
+        kept_ids = [d.id for d in groups[s] if d.id not in gone]
+        reports[s] = dataclasses.replace(
+            report, n_input=len(groups[s]), n_kept=len(kept_ids), kept_ids=kept_ids
+        )
     removed = {(s, i) for s, r in reports.items() for i in r.removed_ids()}
     return [d for d in docs if (d.source, d.id) not in removed], reports
 
@@ -458,6 +466,36 @@ def test_dedup_documents_equals_exact_engine_per_source(
     assert {f"blank-{i}" for i in range(4)} <= {d.id for d in kept}
 
 
+def test_dedup_documents_counts_documents_without_terms_as_kept():
+    docs = [doc("a", "Hallo Welt"), doc("b", "..."), doc("c", "Hallo Welt"), doc("d", "")]
+    kept, reports = dedup_documents(docs, DedupConfig())
+    assert [d.id for d in kept] == ["a", "b", "d"]
+    report = reports["other"]
+    assert (report.n_input, report.n_kept, report.n_removed) == (4, 3, 1)
+    assert report.kept_ids == ["a", "b", "d"]
+    assert report.removed_ids() == {"c"}
+
+
+def test_dedup_documents_rejects_an_id_repeated_by_a_document_without_terms():
+    # the copy without terms would be dropped with the removed "b", although
+    # the report counts it as kept
+    docs = [doc("a", "Hallo Welt"), doc("b", "Hallo Welt"), doc("b", "...")]
+    with pytest.raises(ValueError, match="duplicate doc_id 'b' in dedup input"):
+        dedup_documents(docs, DedupConfig())
+    # ids repeat freely across sources
+    other = dataclasses.replace(docs[1], source="ehr")
+    kept, _ = dedup_documents([*docs[:2], other], DedupConfig())
+    assert [(d.source, d.id) for d in kept] == [("other", "a"), ("ehr", "b")]
+
+
+def test_dedup_documents_report_of_a_source_without_terms():
+    kept, reports = dedup_documents([doc("x", "--"), doc("y", "")], DedupConfig())
+    assert [d.id for d in kept] == ["x", "y"]
+    report = reports["other"]
+    assert (report.n_input, report.n_kept, report.n_removed, report.clusters) == (2, 2, 0, [])
+    assert report.kept_ids == ["x", "y"]
+
+
 _texts = st.lists(st.text(alphabet="abcäß AB_-,.12", max_size=30), max_size=25)
 
 
@@ -480,8 +518,9 @@ def test_text_and_vector_feeders_build_equal_rows(texts):
 
 def reference_rows(rows):
     """The rows of ``(doc_id, term counts)`` pairs as the builder before the
-    chunked one made them, one ``Counter`` per document, kept verbatim."""
-    out = TermRows([], array("q"), array("q"), array("q"), array("d"), array("q"))
+    chunked one made them, one ``Counter`` per document, kept verbatim but
+    for the typecodes, which follow the rows' int32 dtypes."""
+    out = TermRows([], array("i"), array("i"), array("i"), array("d"), array("i"))
     id_of = dedup._TermIds().__getitem__
     for doc_id, counts in rows:
         if not counts:
@@ -622,9 +661,10 @@ def test_dedup_documents_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 19 MiB: the rows of the source, the screen's matrices and its
-    # fixed 8 MiB score buffer; a vector per document took 34 MiB
-    assert peak < 26 * 2**20
+    # about 8.5 MiB: the rows of the source, the screen's matrices and
+    # index, and its fixed 4 MiB score buffer; with 64-bit rows and index
+    # it took 10.5 MiB, and with a vector per document 34 MiB
+    assert peak < 9.5 * 2**20
 
 
 def radix_keys(name):
@@ -658,6 +698,69 @@ def test_stable_order_is_the_stable_argsort(name):
     got = dedup._stable_order(keys)
     assert got.dtype == np.intp
     assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+
+# --- 32-bit rows and index, and what happens past 32 bits --------------------
+
+
+def test_rows_are_int32_with_float64_norms():
+    import numpy as np
+
+    rows = TermRows.from_documents(three_sources(0))
+    assert [a.dtype for a in (rows.ids, rows.counts, rows.lengths, rows.n_words)] == [np.int32] * 4
+    assert rows.norms.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [["a b c", "d e"], ["a a a a"]],
+    ids=["a term id", "a word count"],
+)
+def test_rows_past_the_32_bit_limit_raise(monkeypatch, texts):
+    # a limit of 3 stands for 2**31 - 1: ids 0-3 and word counts up to 3
+    # fit, and a count or a row's length never passes its word count
+    monkeypatch.setattr(dedup, "INT32_MAX", 3)
+    assert TermRows.from_documents([doc("x", "a b c"), doc("y", "d"), doc("z", "a a a")])
+    docs = [doc(f"d{i}", text) for i, text in enumerate(texts)]
+    with pytest.raises(ValueError, match="reaches 4, beyond the 32-bit limit of 3"):
+        TermRows.from_documents(docs)
+
+
+def index_sizes(rows):
+    """The screen's rare entries E and their contributions C."""
+    import numpy as np
+
+    _, _, ids, _ = dedup._score_matrices(rows)
+    df = np.bincount(ids)
+    return len(ids), int((df * (df - 1) // 2).sum())
+
+
+@pytest.mark.parametrize("limit", ["0", "n", "min(E, C + n)", "max(E, C + n) - 1", "max(E, C + n)"])
+def test_screen_past_the_32_bit_limit_widens_and_gives_the_same_candidates(monkeypatch, limit):
+    # the rows are built first at the real limit; a smaller limit then
+    # makes the screen choose int64 for each index array whose values can
+    # pass it, alone or beside 32-bit ones
+    import numpy as np
+
+    docs = [d for d in three_sources(0) if d.source == "radiology-report"]
+    rows = TermRows.from_documents(docs)
+    cfg = DedupConfig()
+    want = dedup._near_threshold_pairs(rows, cfg)
+    assert sum(map(len, want.values())) > 10
+    n, (E, C) = len(rows.doc_ids), index_sizes(rows)
+    assert n < min(E, C + n) < max(E, C + n)
+    chosen = []
+
+    def recording(top, name=None, choose=dedup._int_dtype):
+        chosen.append(choose(top, name))
+        return chosen[-1]
+
+    bound = eval(limit, {"E": E, "C": C, "n": n})
+    monkeypatch.setattr(dedup, "INT32_MAX", bound)
+    monkeypatch.setattr(dedup, "_int_dtype", recording)
+    assert dedup._near_threshold_pairs(rows, cfg) == want
+    # the rows, the entry positions and the contribution totals
+    assert chosen == [np.int64 if top > bound else np.int32 for top in (n, E, C + n)]
 
 
 def test_annotations_resolve_with_the_type_checking_imports(monkeypatch):

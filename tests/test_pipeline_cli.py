@@ -889,6 +889,22 @@ def test_cli_ingest_reports_bad_lines(tmp_path, capsys):
     assert obj["errors"][0]["line"] == 2
 
 
+def test_cli_ingest_reports_a_falsy_non_object_meta(tmp_path, capsys):
+    raw = tmp_path / "raw.jsonl"
+    rows = [{"id": "d0", "source": "s", "text": "eins", "meta": None}]
+    rows += [{"id": f"d{i}", "source": "s", "text": "zwei", "meta": v}
+             for i, v in enumerate([[], 0, "", False], start=1)]
+    raw.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out, report = tmp_path / "out.jsonl", tmp_path / "report.json"
+    assert cli.main(["ingest", str(raw), "--out", str(out), "--report", str(report)]) == 0
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["d0"]
+    obj = json.loads(report.read_text())
+    assert (obj["n_documents"], obj["n_errors"]) == (1, 4)
+    assert [(e["line"], e["message"]) for e in obj["errors"]] == [
+        (line, "'meta' must be an object") for line in (2, 3, 4, 5)
+    ]
+
+
 def write_corpus_with_unpaired_surrogate(path):
     path.write_text(
         '{"id": "b", "source": "x", "text": "Ein Befund."}\n'

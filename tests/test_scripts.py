@@ -60,8 +60,8 @@ def test_bench_quick_writes_the_record(tmp_path):
     probes = {
         "dedup": (
             "planted_rate",
-            "dedup_s generate_s pairs_examined peak_rss_mib rate removed screen_margin"
-            " screen_traced_peak_mib screen_verify_s tokenize_s",
+            "dedup_s generate_s pairs_examined peak_rss_mib rate removed rows_mib"
+            " screen_margin screen_traced_peak_mib screen_verify_s tokenize_s",
         ),
         "vocab": (
             "distinct_words docs words",
@@ -88,7 +88,7 @@ def test_bench_quick_writes_the_record(tmp_path):
             assert f"{size:>9} " in stdout
     for row in record["dedup"]["sizes"].values():
         assert abs(row["rate"] - record["dedup"]["planted_rate"]) <= 0.02
-        assert row["peak_rss_mib"] > 0
+        assert 0 < row["rows_mib"] < row["peak_rss_mib"]
         assert 0 < row["tokenize_s"] and 0 < row["screen_verify_s"]
         assert row["pairs_examined"] >= row["removed"]
         assert 1e-6 <= row["screen_margin"] < 1e-4
